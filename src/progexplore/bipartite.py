@@ -450,6 +450,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         raise ParseError("header must be three integers",
                          line=header_idx + 1) from None
     edges = []
+    seen = set()
     for i in range(header_idx + 1, len(lines)):
         line = lines[i].strip()
         if not line:
@@ -464,8 +465,9 @@ def parse_bipartite(text: str) -> BipartiteGraph:
                              line=i + 1) from None
         if not (0 <= l < left_size and 0 <= r < right_size):
             raise ParseError(f"edge ({l},{r}) out of range", line=i + 1)
-        if (l, r) in edges:
+        if (l, r) in seen:
             raise ParseError(f"duplicate edge ({l},{r})", line=i + 1)
+        seen.add((l, r))
         edges.append((l, r))
     if len(edges) != m:
         raise ParseError(f"expected {m} edges, found {len(edges)}",

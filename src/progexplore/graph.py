@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError, ParseError
+from .errors import InputError, InternalInvariantError, ParseError
 
 INF = math.inf
 
@@ -57,7 +57,7 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        return Graph(n, tuple(tuple(sorted(a)) for a in adj))
+        return _from_adjacency(adj)
 
     @property
     def m(self) -> int:
@@ -84,11 +84,28 @@ class Graph:
                     yield (u, v)
 
 
+def _from_adjacency(adj) -> Graph:
+    """Graph from already-validated adjacency lists, sorted here in place."""
+    for a in adj:
+        a.sort()
+    return Graph(len(adj), tuple(map(tuple, adj)))
+
+
 def bfs_capped(g: Graph, source: int, cap, allowed=None):
     """Distances from ``source``, exact up to ``cap``, INF beyond.
 
     ``allowed`` optionally restricts the search to an induced subgraph
     (a set of vertex ids containing ``source``).
+    """
+    return bfs_reach(g, source, cap, allowed)[0]
+
+
+def bfs_reach(g: Graph, source: int, cap, allowed=None):
+    """``(dist, reached)``: the distances of :func:`bfs_capped` and the
+    vertices within ``cap`` of ``source``, in BFS order (source first).
+
+    The work beyond allocating ``dist`` is proportional to the ball, so a
+    caller that reads only ``reached`` never scans all n vertices.
     """
     if not (0 <= source < g.n):
         raise InputError(f"invalid source vertex {source}")
@@ -98,27 +115,25 @@ def bfs_capped(g: Graph, source: int, cap, allowed=None):
         raise InputError(f"source {source} not in allowed set")
     dist = [INF] * g.n
     dist[source] = 0
+    reached = [source]
     if cap == 0:
-        return dist
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+        return dist, reached
+    for u in reached:  # the list doubles as the FIFO queue
         du = dist[u]
         if du == cap:
             continue
         for w in g.adjacency[u]:
-            if dist[w] is INF or dist[w] > du + 1:
-                if allowed is not None and w not in allowed:
-                    continue
+            # FIFO order settles each vertex at first sight, so ``reached``
+            # lists every vertex once
+            if dist[w] is INF and (allowed is None or w in allowed):
                 dist[w] = du + 1
-                queue.append(w)
-    return dist
+                reached.append(w)
+    return dist, reached
 
 
 def ball(g: Graph, source: int, radius, allowed=None):
     """Vertices within distance ``radius`` of ``source`` (induced arena)."""
-    dist = bfs_capped(g, source, radius, allowed=allowed)
-    return {v for v in range(g.n) if dist[v] is not INF}
+    return set(bfs_reach(g, source, radius, allowed=allowed)[1])
 
 
 def graph_power(g: Graph, s: int) -> Graph:
@@ -192,7 +207,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(
             f"expected {m} edge lines, found {len(body)}", line=header_line
         )
-    edges = []
+    adj = [[] for _ in range(n)]
     seen = set()
     for lineno, stripped in body:
         toks = stripped.split()
@@ -206,19 +221,20 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"vertex id out of range in ({u},{v})", line=lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", line=lineno)
-        key = (min(u, v), max(u, v))
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             raise ParseError(f"duplicate or reversed edge ({u},{v})", line=lineno)
         seen.add(key)
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        adj[u].append(v)
+        adj[v].append(u)
+    return _from_adjacency(adj)
 
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col: 'p edge n m' header, 'e u v' 1-based edges."""
     n = None
     m = None
-    edges = []
+    adj = None
     seen = set()
     count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -235,6 +251,9 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(toks[2]), int(toks[3])
             except ValueError:
                 raise ParseError("non-integer counts in problem line", line=lineno)
+            if n < 0:
+                raise ParseError(f"negative vertex count {n}", line=lineno)
+            adj = [[] for _ in range(n)]
         elif toks[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line=lineno)
@@ -248,11 +267,12 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"vertex id out of range", line=lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u + 1}", line=lineno)
-            key = (min(u, v), max(u, v))
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 raise ParseError("duplicate or reversed edge", line=lineno)
             seen.add(key)
-            edges.append((u, v))
+            adj[u].append(v)
+            adj[v].append(u)
             count += 1
         else:
             raise ParseError(f"unknown line type '{toks[0]}'", line=lineno)
@@ -260,7 +280,7 @@ def parse_dimacs(text: str) -> Graph:
         raise ParseError("missing problem line")
     if m is not None and count != m:
         raise ParseError(f"expected {m} edges, found {count}")
-    return Graph.from_edges(n, edges)
+    return _from_adjacency(adj)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -285,14 +305,32 @@ def has_ktt(g: Graph, t: int) -> bool:
 
 
 def _require(params, *keys):
+    """The named params, each of which must be present."""
     for key in keys:
         if key not in params:
             raise InputError(f"generator params missing '{key}'")
     return [params[k] for k in keys]
 
 
+def _integers(params, *keys):
+    """The named params, each of which must be present and an integer."""
+    return [_integer(k, v) for k, v in zip(keys, _require(params, *keys))]
+
+
+def _optional_integer(params, key, default):
+    value = params.get(key)
+    return default if value is None else _integer(key, value)
+
+
+def _integer(key, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(
+            f"generator param '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def _gen_grid(params, rng):
-    rows, cols = _require(params, "rows", "cols")
+    rows, cols = _integers(params, "rows", "cols")
     if rows < 1 or cols < 1:
         raise InputError("grid dimensions must be positive")
     edges = []
@@ -307,27 +345,27 @@ def _gen_grid(params, rng):
 
 
 def _gen_path(params, rng):
-    (n,) = _require(params, "n")
+    (n,) = _integers(params, "n")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _gen_cycle(params, rng):
-    (n,) = _require(params, "n")
+    (n,) = _integers(params, "n")
     if n < 3:
         raise InputError("cycle needs n >= 3")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _gen_star(params, rng):
-    (n,) = _require(params, "n")
+    (n,) = _integers(params, "n")
     if n < 1:
         raise InputError("star needs n >= 1")
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def _gen_tree(params, rng):
-    (n,) = _require(params, "n")
-    max_depth = params.get("max_depth")
+    (n,) = _integers(params, "n")
+    max_depth = _optional_integer(params, "max_depth", None)
     if n < 1:
         raise InputError("tree needs n >= 1")
     depth = [0] * n
@@ -338,15 +376,15 @@ def _gen_tree(params, rng):
             choices = [u for u in choices if depth[u] < max_depth]
             if not choices:
                 raise InputError("max_depth too small for requested n")
-        parent = rng.choice(list(choices))
+        parent = rng.choice(choices)
         depth[v] = depth[parent] + 1
         edges.append((parent, v))
     return Graph.from_edges(n, edges)
 
 
 def _gen_bounded_degree_random(params, rng):
-    n, max_degree = _require(params, "n", "max_degree")
-    target = params.get("m", n)
+    n, max_degree = _integers(params, "n", "max_degree")
+    target = _optional_integer(params, "m", n)
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
     candidates = list(combinations(range(n), 2))
@@ -364,7 +402,7 @@ def _gen_bounded_degree_random(params, rng):
 
 
 def _gen_complete_bipartite(params, rng):
-    a, b = _require(params, "a", "b")
+    a, b = _integers(params, "a", "b")
     if a < 0 or b < 0:
         raise InputError("sides must be non-negative")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
@@ -372,8 +410,8 @@ def _gen_complete_bipartite(params, rng):
 
 
 def _gen_ktt_free_random(params, rng):
-    n, t = _require(params, "n", "t")
-    target = params.get("m", 2 * n)
+    n, t = _integers(params, "n", "t")
+    target = _optional_integer(params, "m", 2 * n)
     candidates = list(combinations(range(n), 2))
     rng.shuffle(candidates)
     adj = [[] for _ in range(n)]
@@ -383,7 +421,7 @@ def _gen_ktt_free_random(params, rng):
             break
         adj[u].append(v)
         adj[v].append(u)
-        trial = Graph(n, tuple(tuple(sorted(a)) for a in adj))
+        trial = _from_adjacency(adj)
         if has_ktt(trial, t):
             adj[u].remove(v)
             adj[v].remove(u)
@@ -393,13 +431,14 @@ def _gen_ktt_free_random(params, rng):
 
 
 def _gen_power_of(params, rng):
-    family, inner, s = _require(params, "family", "params", "s")
-    base = generate(family, inner, seed=params.get("seed", 0))
+    family, inner = _require(params, "family", "params")
+    (s,) = _integers(params, "s")
+    base = generate(family, inner, seed=_optional_integer(params, "seed", 0))
     return graph_power(base, s)
 
 
 def _gen_half_square_of_planar_bipartite(params, rng):
-    rows, cols = _require(params, "rows", "cols")
+    rows, cols = _integers(params, "rows", "cols")
     h = _gen_grid({"rows": rows, "cols": cols}, rng)
     side = [r * cols + c for r in range(rows) for c in range(cols)
             if (r + c) % 2 == 0]
@@ -422,33 +461,38 @@ _GENERATORS = {
 
 def _validate_family(g: Graph, family: str, params) -> None:
     if family == "grid":
-        rows, cols = params["rows"], params["cols"]
-        expected = _gen_grid(params, None)
-        assert g.adjacency == expected.adjacency
+        ok = g.adjacency == _gen_grid(params, None).adjacency
     elif family == "path":
-        assert g.m == max(g.n - 1, 0)
-        assert all(g.degree(v) <= 2 for v in range(g.n))
+        ok = (g.m == max(g.n - 1, 0)
+              and all(g.degree(v) <= 2 for v in range(g.n)))
     elif family == "cycle":
-        assert g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+        ok = g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
     elif family == "star":
-        assert g.m == g.n - 1
-        assert all(g.degree(v) == 1 for v in range(1, g.n))
+        ok = (g.m == g.n - 1
+              and all(g.degree(v) == 1 for v in range(1, g.n)))
     elif family == "tree":
-        assert g.m == g.n - 1
-        assert all(d is not INF for d in bfs_capped(g, 0, g.n))
+        ok = (g.m == g.n - 1
+              and all(d is not INF for d in bfs_capped(g, 0, g.n)))
     elif family == "bounded_degree_random":
-        assert all(g.degree(v) <= params["max_degree"] for v in range(g.n))
+        ok = all(g.degree(v) <= params["max_degree"] for v in range(g.n))
     elif family == "complete_bipartite":
-        a, b = params["a"], params["b"]
-        assert g.m == a * b
+        ok = g.m == params["a"] * params["b"]
     elif family == "ktt_free_random":
-        assert not has_ktt(g, params["t"])
+        ok = not has_ktt(g, params["t"])
+    else:
+        ok = True
+    if not ok:
+        raise InternalInvariantError(
+            f"generated '{family}' graph fails its family check")
 
 
 def generate(family: str, params, seed: int = 0) -> Graph:
     """Build a graph from a named family; deterministic for a fixed seed."""
-    if family not in _GENERATORS:
+    if not isinstance(family, str) or family not in _GENERATORS:
         raise InputError(f"unknown family '{family}'")
+    if not isinstance(params, Mapping):
+        raise InputError(f"generator params must be a mapping, got "
+                         f"{type(params).__name__}")
     rng = random.Random(seed)
     g = _GENERATORS[family](dict(params), rng)
     if g.n <= _REVALIDATE_LIMIT:

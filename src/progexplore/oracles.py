@@ -170,9 +170,6 @@ def _eval_child(node, cand_row):
     return not _eval_child(node.child, cand_row)
 
 
-SOLUTION = None  # weak_witness_oracle returns None to signal "is a solution"
-
-
 def weak_witness_oracle(ib: ImplicitBipartite, a):
     """A witness tuple disagreeing with candidate a, or None when a agrees
     with every witness tuple (i.e. a is a solution)."""

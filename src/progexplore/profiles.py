@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import InputError
-from .graph import Graph, INF, bfs_capped
+from .graph import Graph, INF, bfs_capped, bfs_reach
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,30 @@ class ProfileEntry:
 
 
 @dataclass(frozen=True)
+class ProfileIndex:
+    """Vertex id -> profile-table entry index, stored only for the vertices
+    inside some pivot ball.  Every other vertex of the table's domain has
+    the all-INF profile, entry ``far``; a vertex outside ``allowed`` has no
+    entry (None)."""
+
+    n: int
+    near: dict  # vertex -> entry index, for the union of the pivot balls
+    far: int | None  # entry of the all-INF profile; None when it is empty
+    allowed: frozenset | None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int):
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        idx = self.near.get(v)
+        if idx is None and (self.allowed is None or v in self.allowed):
+            return self.far
+        return idx
+
+
+@dataclass(frozen=True)
 class ProfileTable:
     """Deduplicated profiles of all vertices on a pivot set.
 
@@ -40,16 +65,7 @@ class ProfileTable:
     pivot: tuple[int, ...]
     radius: int
     entries: tuple[ProfileEntry, ...]
-    vertex_to_profile: tuple  # vertex id -> entry index (None if excluded)
-
-    def pivot_position(self, vertex: int) -> int:
-        return self.pivot.index(vertex)
-
-    def profile_of(self, vertex: int) -> DistanceProfile:
-        idx = self.vertex_to_profile[vertex]
-        if idx is None:
-            raise InputError(f"vertex {vertex} not covered by this table")
-        return self.entries[idx].profile
+    vertex_to_profile: ProfileIndex  # vertex -> entry index (None if excluded)
 
 
 def profile_of_vertex(g: Graph, pivot, r: int, v: int) -> DistanceProfile:
@@ -79,32 +95,57 @@ def build_profile_table(g: Graph, pivot, r: int, allowed=None) -> ProfileTable:
 
     ``allowed`` restricts both the BFS arena and the set of profiled
     vertices (used by the pre-core recursion); default is the whole graph.
+
+    Only the vertices inside some pivot ball are profiled one by one; the
+    rest of the domain shares the all-INF profile and enters as one "far"
+    class, represented by its lowest id.  The cost is the pivot balls (plus
+    allocating one distance list per pivot), not the domain size.
     """
     pivot = tuple(sorted(set(pivot)))
     for s in pivot:
         if not (0 <= s < g.n):
             raise InputError(f"invalid pivot vertex {s}")
-    dists = [bfs_capped(g, s, r, allowed=allowed) for s in pivot]
+    if allowed is not None:
+        allowed = frozenset(allowed)
+        if not all(0 <= v < g.n for v in allowed):
+            raise InputError("allowed set has a vertex out of range")
+    dists = []
+    union = set()
+    for s in pivot:
+        dist, reached = bfs_reach(g, s, r, allowed=allowed)
+        dists.append(dist)
+        union.update(reached)
+    vertices = sorted(union)
+    far_count = (g.n if allowed is None else len(allowed)) - len(vertices)
+    far_rep = None
+    if far_count:
+        if allowed is None:  # the first gap in 0, 1, 2, ...
+            far_rep = next((i for i, v in enumerate(vertices) if i != v),
+                           len(vertices))
+        else:
+            far_rep = min(allowed - union)
+        insort(vertices, far_rep)
     seen = {}
     entries = []
     counts = []
-    vertex_to_profile = [None] * g.n
-    domain = range(g.n) if allowed is None else sorted(allowed)
-    for v in domain:
-        key = tuple(d[v] for d in dists)
+    near = {}
+    for v in vertices:
+        key = tuple(d[v] for d in dists)  # all-INF exactly for far_rep
         idx = seen.get(key)
         if idx is None:
             idx = len(entries)
             seen[key] = idx
             entries.append(ProfileEntry(DistanceProfile(r, key), v, 0))
             counts.append(0)
-        counts[idx] += 1
-        vertex_to_profile[v] = idx
+        counts[idx] += far_count if v == far_rep else 1
+        near[v] = idx
+    far = None if far_rep is None else near.pop(far_rep)
     entries = tuple(
         ProfileEntry(e.profile, e.representative, c)
         for e, c in zip(entries, counts)
     )
-    return ProfileTable(pivot, r, entries, tuple(vertex_to_profile))
+    return ProfileTable(pivot, r, entries,
+                        ProfileIndex(g.n, near, far, allowed))
 
 
 @dataclass(frozen=True)

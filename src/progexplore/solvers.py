@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ResourceBudgetError,
@@ -316,10 +317,6 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
 # --- distance-r independent set ---------------------------------------------
 
 
-def _saturating(a, b):
-    return a + b  # math.inf propagates; plain ints add
-
-
 def independent_set_solve(g: Graph, k: int, r: int,
                           strategy=DEFAULT_STRATEGY,
                           depth_budget: int = 20) -> Decision:
@@ -345,7 +342,7 @@ def independent_set_solve(g: Graph, k: int, r: int,
     profs = [e.profile.values for e in table.entries]
     counts = [e.count for e in table.entries]
     np = len(profs)
-    compat = [[min((_saturating(profs[i][t], profs[j][t])
+    compat = [[min((profs[i][t] + profs[j][t]
                     for t in range(len(Q))), default=INF) > r
                for j in range(np)] for i in range(np)]
 
@@ -436,7 +433,7 @@ def brute_force_dominating(g: Graph, k: int, r: int,
     smallest one."""
     if k < 0 or r < 0:
         raise InputError("k and r must be >= 0")
-    total = sum(_ncr(g.n, size) for size in range(min(k, g.n) + 1))
+    total = sum(comb(g.n, size) for size in range(min(k, g.n) + 1))
     if total > subset_budget:
         raise ResourceBudgetError(f"{total} subsets exceed budget")
     dist = [bfs_capped(g, v, r) for v in range(g.n)]
@@ -456,15 +453,10 @@ def brute_force_independent(g: Graph, k: int, r: int,
         raise InputError("k and r must be >= 0")
     if k > g.n:
         return None
-    if _ncr(g.n, k) > subset_budget:
+    if comb(g.n, k) > subset_budget:
         raise ResourceBudgetError("too many subsets")
     dist = [bfs_capped(g, v, r) for v in range(g.n)]
     for cand in combinations(range(g.n), k):
         if all(dist[u][v] == INF for u, v in combinations(cand, 2)):
             return cand
     return None
-
-
-def _ncr(n, k):
-    from math import comb
-    return comb(n, k)
