@@ -1,14 +1,13 @@
 """Benchmark harness: run solver grids over generated instances, emit CSV.
 
-Records are deterministic for a fixed config (timing excluded); workers only
-change wall time, never content or order.
+Records are deterministic for a fixed config (timing excluded) and come back
+in config order, one per instance x problem cell.
 """
 from __future__ import annotations
 
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bipartite import SEMILADDER, index_of, materialize
@@ -69,24 +68,28 @@ def _parse_config(config: dict):
         config["problems"],
         bool(config.get("cross_validate", False)),
         bool(config.get("bound_check", False)),
-        int(config.get("workers", 1)),
         int(config.get("materialize_budget", 100_000)),
     )
 
 
-def _run_one(job):
-    (idx, inst, prob, cross_validate, bound_check, mat_budget) = job
-    family = inst.get("family", "?")
-    seed = inst.get("seed", 0)
-    kind = prob.get("kind", "domset")
-    k = int(prob.get("k", 1))
-    r = int(prob.get("r", 1))
-    rec = BenchRecord(
-        instance_id=f"{family}-s{seed}-i{idx}-{kind}-k{k}-r{r}",
-        family=family, n=0, m=0,
-        formula=f"delta(k={k},r={r})" if kind == "domset" else f"eta(r={r})",
-        k=k, r=r)
+def _run_one(idx, inst, prob, cross_validate, bound_check, mat_budget):
+    rec = BenchRecord(instance_id=f"i{idx}", family="?", n=0, m=0,
+                      formula="", k=0, r=0)
     try:
+        if not isinstance(inst, dict) or not isinstance(prob, dict):
+            raise InputError("instance and problem entries must be objects")
+        family = inst.get("family", "?")
+        seed = inst.get("seed", 0)
+        kind = prob.get("kind", "domset")
+        k, r = prob.get("k", 1), prob.get("r", 1)
+        if not isinstance(kind, str) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in (k, r)):
+            raise InputError("a problem needs a string 'kind' and integer "
+                             "'k' and 'r'")
+        rec.instance_id = f"{family}-s{seed}-i{idx}-{kind}-k{k}-r{r}"
+        rec.family, rec.k, rec.r = family, k, r
+        rec.formula = (f"delta(k={k},r={r})" if kind == "domset"
+                       else f"eta(r={r})")
         g = generate(family, inst.get("params", {}), seed=seed)
         rec.n, rec.m = g.n, g.m
         start = time.perf_counter()
@@ -127,17 +130,12 @@ def _run_one(job):
 
 
 def run_bench(config: dict) -> list:
-    """Execute the config's instance x problem grid; records come back in
-    config order regardless of worker completion order."""
-    instances, problems, cross_validate, bound_check, workers, mat_budget = \
+    """Execute the config's instance x problem grid, in config order."""
+    instances, problems, cross_validate, bound_check, mat_budget = \
         _parse_config(config)
-    jobs = [(idx, inst, prob, cross_validate, bound_check, mat_budget)
+    return [_run_one(idx, inst, prob, cross_validate, bound_check, mat_budget)
             for idx, inst in enumerate(instances)
             for prob in problems]
-    if workers <= 1:
-        return [_run_one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs))
 
 
 def records_to_csv(records) -> str:

@@ -2,7 +2,8 @@
 
 Machine-readable JSON (schema "pe/1") goes to stdout, diagnostics to stderr.
 Exit codes: 0 = solved/measured, 1 = a negative decision (still a success,
-distinguished in the payload), 2 = usage error, 3 = resource budget hit.
+distinguished in the payload), 2 = usage error, 3 = resource budget hit,
+4 = internal error (a broken invariant or plug-in contract, never bad input).
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from itertools import combinations, product
 
 from .bench import records_to_csv, run_bench
 from .bipartite import OBSTRUCTION_KINDS, index_of, parse_bipartite
-from .errors import InputError, ResourceBudgetError
+from .errors import (ContractViolationError, InputError,
+                     InternalInvariantError, ParseError, ResourceBudgetError)
 from .formulas import (DistanceMatrix, build_delta, evaluate, parse_formula)
 from .graph import (GENERATOR_FAMILIES, bfs_capped, generate, parse_dimacs,
                     parse_graph, serialize_graph)
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_graph(path: str):
@@ -80,7 +83,7 @@ def _cmd_solve_domset(args) -> int:
     }
     if decision.kind == SOLUTION:
         if not _verify_dominating(g, decision.payload, args.r):
-            raise InputError("internal verification of the solution failed")
+            raise InternalInvariantError("solution failed verification")
         payload["solution"] = sorted(set(decision.payload))
         payload["verified"] = True
         _emit(payload)
@@ -107,7 +110,7 @@ def _cmd_solve_domset_formula(args) -> int:
     }
     if decision.kind == SOLUTION:
         if not _verify_formula_solution(g, f, decision.payload):
-            raise InputError("internal verification of the solution failed")
+            raise InternalInvariantError("solution failed verification")
         payload["solution"] = list(decision.payload)
         payload["verified"] = True
         _emit(payload)
@@ -128,7 +131,7 @@ def _cmd_solve_indep(args) -> int:
     }
     if decision.kind == SOLUTION:
         if not _verify_independent(g, decision.payload, args.r):
-            raise InputError("internal verification of the solution failed")
+            raise InternalInvariantError("solution failed verification")
         payload["solution"] = sorted(decision.payload)
         payload["verified"] = True
         _emit(payload)
@@ -198,7 +201,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}",
+                             line=exc.lineno) from exc
     records = run_bench(config)
     text = records_to_csv(records)
     if args.out:
@@ -289,6 +296,9 @@ def cli_main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (InternalInvariantError, ContractViolationError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:  # console-script entry point

@@ -39,15 +39,15 @@ class Not:
 Node = Union[Atom, And, Or, Not]
 
 
-def _walk_atoms(node):
+def walk(node):
+    """Every node of the tree under ``node``, ``node`` itself first."""
     stack = [node]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Atom):
-            yield cur
-        elif isinstance(cur, Not):
+        yield cur
+        if isinstance(cur, Not):
             stack.append(cur.child)
-        else:
+        elif not isinstance(cur, Atom):
             stack.extend(cur.children)
 
 
@@ -60,33 +60,34 @@ class DistanceFormula:
     def __post_init__(self):
         if self.c < 1 or self.d < 1:
             raise InputError("formula needs at least one variable per side")
-        for a in _walk_atoms(self.root):
-            if a.q < 0:
-                raise InputError(f"negative threshold {a.q}")
-            if not (0 <= a.x < self.c):
-                raise InputError(f"candidate index {a.x} out of range")
-            if not (0 <= a.y < self.d):
-                raise InputError(f"witness index {a.y} out of range")
+        radius, size, positive = 0, 0, True
+        for node in walk(self.root):
+            if isinstance(node, Not):
+                positive = False
+            elif isinstance(node, Atom):
+                if node.q < 0:
+                    raise InputError(f"negative threshold {node.q}")
+                if not (0 <= node.x < self.c):
+                    raise InputError(f"candidate index {node.x} out of range")
+                if not (0 <= node.y < self.d):
+                    raise InputError(f"witness index {node.y} out of range")
+                radius = max(radius, node.q)
+                size += 1
+        if not size:
+            raise InputError("formula needs at least one atom")
+        # derived once; plain attributes, so not compared, hashed or shown
+        object.__setattr__(self, "_radius", radius)
+        object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_positive", positive)
 
     def radius(self) -> int:
-        return max(a.q for a in _walk_atoms(self.root))
+        return self._radius
 
     def size(self) -> int:
-        return sum(1 for _ in _walk_atoms(self.root))
+        return self._size
 
     def is_positive(self) -> bool:
-        return not any(isinstance(n, Not) for n in _walk_nodes(self.root))
-
-
-def _walk_nodes(node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, Not):
-            stack.append(cur.child)
-        elif isinstance(cur, (And, Or)):
-            stack.extend(cur.children)
+        return self._positive
 
 
 def build_delta(k: int, r: int) -> DistanceFormula:
@@ -140,17 +141,19 @@ def evaluate(f: DistanceFormula, m: DistanceMatrix) -> bool:
             f"matrix cap {m.cap} below formula radius {f.radius()}")
     if len(m.rows) != f.c or any(len(row) != f.d for row in m.rows):
         raise InputError("matrix shape does not match formula arity")
-    return _eval_node(f.root, m.rows)
+    return holds(f.root, m.rows)
 
 
-def _eval_node(node, rows) -> bool:
+def holds(node, rows) -> bool:
+    """Truth of ``node`` where ``rows[x][y]`` is the capped distance from
+    candidate variable x to witness variable y; unchecked (see evaluate)."""
     if isinstance(node, Atom):
         return rows[node.x][node.y] <= node.q
     if isinstance(node, Not):
-        return not _eval_node(node.child, rows)
+        return not holds(node.child, rows)
     if isinstance(node, And):
-        return all(_eval_node(ch, rows) for ch in node.children)
-    return any(_eval_node(ch, rows) for ch in node.children)
+        return all(holds(ch, rows) for ch in node.children)
+    return any(holds(ch, rows) for ch in node.children)
 
 
 # --- JSON round trip -------------------------------------------------------

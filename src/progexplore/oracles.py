@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, ResourceBudgetError
-from .formulas import Atom, DistanceFormula, DistanceMatrix, Or, evaluate
+from .formulas import (Atom, DistanceFormula, DistanceMatrix, Or, evaluate,
+                       holds, walk)
 from .graph import Graph
 from .profiles import build_profile_table
 
@@ -59,23 +60,11 @@ def _single_variable_children(f: DistanceFormula):
         return None
     by_var = [[] for _ in range(f.c)]
     for ch in children:
-        xs = {a.x for a in _atoms_of(ch)}
+        xs = {a.x for a in walk(ch) if isinstance(a, Atom)}
         if len(xs) != 1:
             return None
         by_var[next(iter(xs))].append(ch)
     return by_var
-
-
-def _atoms_of(node):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Atom):
-            yield cur
-        elif hasattr(cur, "children"):
-            stack.extend(cur.children)
-        else:
-            stack.append(cur.child)
 
 
 def candidate_oracle(ib: ImplicitBipartite, B):
@@ -93,7 +82,7 @@ def candidate_oracle(ib: ImplicitBipartite, B):
     pos = _pivot_positions(table.pivot)
     by_var = _single_variable_children(f)
     if by_var is not None and all(by_var):
-        choice = _covering_assignment(table, B, by_var, pos, r)
+        choice = _covering_assignment(table, B, by_var, pos)
     else:
         choice = _product_assignment(table, B, f, pos, r)
     if choice is None:
@@ -110,7 +99,7 @@ def _product_assignment(table, B, f, pos, cap):
     return None
 
 
-def _covering_assignment(table, B, by_var, pos, cap):
+def _covering_assignment(table, B, by_var, pos):
     """Lex-first profile assignment whose per-position witness coverage
     masks union to all of B.  Memoizes failed (position, still-needed mask)
     pairs and prunes with suffix-reachable unions."""
@@ -118,19 +107,16 @@ def _covering_assignment(table, B, by_var, pos, cap):
     n_profiles = len(table.entries)
     full = (1 << len(B)) - 1
     # coverage[i][e] = bitmask of witnesses in B satisfied when profile e
-    # sits at candidate position i
-    coverage = []
-    for i in range(c):
-        row = []
-        for e in range(n_profiles):
-            pr = table.entries[e].profile
-            mask = 0
-            for bi, b in enumerate(B):
-                cand_row = tuple(pr.values[pos[w]] for w in b)
-                if any(_eval_child(ch, cand_row) for ch in by_var[i]):
-                    mask |= 1 << bi
-            row.append(mask)
-        coverage.append(row)
+    # sits at candidate position i.  Each child reads only its own candidate
+    # variable, so one distance row stands in for every row of the matrix.
+    coverage = [[0] * n_profiles for _ in range(c)]
+    for e, entry in enumerate(table.entries):
+        values = entry.profile.values
+        for bi, b in enumerate(B):
+            rows = (tuple(values[pos[w]] for w in b),) * c
+            for i, children in enumerate(by_var):
+                if any(holds(ch, rows) for ch in children):
+                    coverage[i][e] |= 1 << bi
     suffix_union = [0] * (c + 1)
     for i in range(c - 1, -1, -1):
         acc = 0
@@ -155,19 +141,6 @@ def _covering_assignment(table, B, by_var, pos, cap):
         return None
 
     return dfs(0, full, ())
-
-
-def _eval_child(node, cand_row):
-    """Evaluate a single-candidate-variable subformula given that variable's
-    capped distances to the witness tuple (indexed by witness position)."""
-    if isinstance(node, Atom):
-        return cand_row[node.y] <= node.q
-    if hasattr(node, "children"):
-        kids = node.children
-        if node.__class__.__name__ == "And":
-            return all(_eval_child(ch, cand_row) for ch in kids)
-        return any(_eval_child(ch, cand_row) for ch in kids)
-    return not _eval_child(node.child, cand_row)
 
 
 def weak_witness_oracle(ib: ImplicitBipartite, a):
@@ -211,14 +184,11 @@ def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
                 mask |= 1 << ai
         if mask:
             options.append((mask, idxs))
-    total = 0
-    for mask, _ in options:
-        total |= mask
-    if total != full:
-        return None
     suffix = [0] * (len(options) + 1)
     for i in range(len(options) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | options[i][0]
+    if suffix[0] != full:
+        return None
 
     # multisets: indices non-decreasing, so no p!-fold duplication
     def dfs(start, hit, chosen):
