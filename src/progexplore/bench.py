@@ -63,13 +63,16 @@ def _parse_config(config: dict):
     for key in ("instances", "problems"):
         if key not in config or not isinstance(config[key], list):
             raise InputError(f"config needs a list under '{key}'")
-    return (
-        config["instances"],
-        config["problems"],
-        bool(config.get("cross_validate", False)),
-        bool(config.get("bound_check", False)),
-        int(config.get("materialize_budget", 100_000)),
-    )
+    flags = []
+    for key in ("cross_validate", "bound_check"):
+        value = config.get(key, False)
+        if not isinstance(value, bool):
+            raise InputError(f"config '{key}' must be true or false")
+        flags.append(value)
+    budget = config.get("materialize_budget", 100_000)
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise InputError("config 'materialize_budget' must be an integer")
+    return config["instances"], config["problems"], *flags, budget
 
 
 def _run_one(idx, inst, prob, cross_validate, bound_check, mat_budget):

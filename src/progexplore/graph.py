@@ -115,9 +115,30 @@ def bfs_reach(g: Graph, source: int, cap, allowed=None):
         raise InputError(f"source {source} not in allowed set")
     dist = [INF] * g.n
     dist[source] = 0
-    reached = [source]
-    if cap == 0:
-        return dist, reached
+    return dist, _settle(g, dist, [source], cap, allowed)
+
+
+def multi_source_distances(g: Graph, sources, cap):
+    """Distance to the nearest vertex of ``sources``, exact up to ``cap``,
+    INF beyond: one BFS for the whole set."""
+    if cap < 0:
+        raise InputError(f"negative BFS cap {cap}")
+    dist = [INF] * g.n
+    queue = []
+    for s in sources:
+        if not (0 <= s < g.n):
+            raise InputError(f"invalid source vertex {s}")
+        if dist[s] is INF:
+            dist[s] = 0
+            queue.append(s)
+    _settle(g, dist, queue, cap, None)
+    return dist
+
+
+def _settle(g: Graph, dist, reached, cap, allowed):
+    """Run the capped BFS whose sources are ``reached`` (already at
+    distance 0 in ``dist``), appending each vertex it settles to
+    ``reached``; return ``reached``."""
     for u in reached:  # the list doubles as the FIFO queue
         du = dist[u]
         if du == cap:
@@ -128,7 +149,7 @@ def bfs_reach(g: Graph, source: int, cap, allowed=None):
             if dist[w] is INF and (allowed is None or w in allowed):
                 dist[w] = du + 1
                 reached.append(w)
-    return dist, reached
+    return reached
 
 
 def ball(g: Graph, source: int, radius, allowed=None):

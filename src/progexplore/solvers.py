@@ -7,17 +7,20 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ResourceBudgetError,
                      SplitterBudgetError)
-from .graph import Graph, INF, ball, bfs_capped
+from .graph import Graph, INF, ball, bfs_capped, multi_source_distances
 from .oracles import (ImplicitBipartite, candidate_oracle,
                       semiladder_extension_oracle, strong_witness_oracle,
                       weak_witness_oracle)
 from .profiles import build_profile_table
+
+# nodes the profile-multiset search of independent_set_solve may visit
+DEFAULT_WORK_BUDGET = 10 ** 6
 
 SOLUTION = "SOLUTION"
 NO_SOLUTION = "NO_SOLUTION"
@@ -245,7 +248,6 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
         if not (0 <= a < g.n):
             raise InputError(f"invalid vertex {a}")
     memo: dict = {}
-    value_choices = tuple(range(r + 1)) + (INF,)
 
     def rec(active, S, A_set, budget):
         key = (active, S, A_set)
@@ -262,8 +264,10 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
             return result
         if budget == 0:
             raise SplitterBudgetError(
-                "localization depth budget exhausted before the arena "
-                "emptied; a deeper budget or another strategy may help")
+                f"localization depth budget exhausted at depth "
+                f"{depth_budget} before the arena emptied ({len(memo)} "
+                f"subproblems solved); a deeper budget or another strategy "
+                f"may help")
         s_list = sorted(S)
         dists = [bfs_capped(g, s, r, allowed=active) for s in s_list]
         arena_minus_s = active - S
@@ -295,23 +299,48 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
             new_active = frozenset(ball3) | S
             new_S = S | {w}
             base = [a for a in sorted(A_set) if a in ball2]
-            seen = set()
-            # every placement profile of the dominating set on S spawns a
-            # subproblem; distinct filtered A-sets only, the rest coincide
-            for pvals in product(value_choices, repeat=len(s_list)):
-                filtered = frozenset(
-                    a for a in base
-                    if all(a_profiles[a][i] + pvals[i] > r
-                           for i in range(len(s_list))))
-                if filtered in seen:
-                    continue
-                seen.add(filtered)
+            for filtered in _placement_subsets(base, a_profiles,
+                                               len(s_list), r):
                 result |= rec(new_active, new_S, filtered, budget - 1)
         result = frozenset(result)
         memo[key] = result
         return result
 
-    return sorted(rec(frozenset(range(g.n)), frozenset(), A, depth_budget))
+    try:
+        return sorted(rec(frozenset(range(g.n)), frozenset(), A,
+                          depth_budget))
+    finally:
+        # rec reaches itself through its closure cell; emptying the cell
+        # frees the memo now instead of at the next cyclic gc pass
+        del rec
+
+
+def _placement_subsets(base, a_profiles, width, r):
+    """The distinct sets ``{a in base : a_profiles[a][i] + p[i] > r for
+    all i}`` over every placement vector ``p`` in ``{0..r, INF}^width``,
+    in the order of their first occurrence in lexicographic order of ``p``.
+    The order matters: the pre-core memo ignores the remaining depth
+    budget, so the order of the recursive calls decides whether and where
+    SplitterBudgetError fires.
+
+    Coordinate ``i`` of ``p`` matters only through which thresholds
+    ``r - a_profiles[a][i] + 1`` it reaches, so it is refined over ``{0}``
+    and those thresholds alone: the cost is the number of distinct sets
+    times the breakpoints, not ``(r + 2) ** width``.  Dropping a repeated
+    prefix set loses no first occurrence, because an earlier equal prefix
+    reaches every set the later one does, and reaches it first.
+    """
+    sets = {frozenset(base): None}
+    for i in range(width):
+        cuts = sorted({0} | {r - a_profiles[a][i] + 1 for a in base
+                             if a_profiles[a][i] <= r})
+        refined: dict = {}
+        for current in sets:
+            for cut in cuts:
+                refined.setdefault(frozenset(
+                    a for a in current if a_profiles[a][i] + cut > r))
+        sets = refined
+    return list(sets)
 
 
 # --- distance-r independent set ---------------------------------------------
@@ -319,7 +348,8 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
 
 def independent_set_solve(g: Graph, k: int, r: int,
                           strategy=DEFAULT_STRATEGY,
-                          depth_budget: int = 20) -> Decision:
+                          depth_budget: int = 20,
+                          work_budget: int = DEFAULT_WORK_BUDGET) -> Decision:
     """Find k vertices at pairwise distance > r, or certify none exist.
 
     The capture set Q for (G, V, k-1) reduces the decision to profile
@@ -327,11 +357,14 @@ def independent_set_solve(g: Graph, k: int, r: int,
     profiles keeps min over Q of the summed capped distances above r.  A
     free multiset is instantiated from representatives and repaired by the
     exchange loop, which strictly shrinks the number of close vertices.
+    The multiset search may visit at most ``work_budget`` nodes.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     if r < 0:
         raise InputError("r must be >= 0")
+    if work_budget < 1:
+        raise InputError("work_budget must be >= 1")
     if g.n == 0:
         return Decision(NO_SOLUTION, [])
     if k == 1:
@@ -345,23 +378,7 @@ def independent_set_solve(g: Graph, k: int, r: int,
     compat = [[min((profs[i][t] + profs[j][t]
                     for t in range(len(Q))), default=INF) > r
                for j in range(np)] for i in range(np)]
-
-    def dfs(start, chosen):
-        if len(chosen) == k:
-            return chosen
-        for i in range(start, np):
-            mult = chosen.count(i)
-            if mult >= counts[i]:
-                continue
-            if mult and not compat[i][i]:
-                continue
-            if all(compat[j][i] for j in chosen):
-                got = dfs(i, chosen + (i,))
-                if got is not None:
-                    return got
-        return None
-
-    pick = dfs(0, ())
+    pick = _free_multiset(compat, counts, k, work_budget)
     if pick is None:
         return Decision(NO_SOLUTION, list(Q))
     # distinct lowest-id realizers per chosen profile
@@ -380,47 +397,83 @@ def independent_set_solve(g: Graph, k: int, r: int,
     X = sorted(X)
     if len(set(X)) != k:
         raise InternalInvariantError("representative instantiation collided")
+    return Decision(SOLUTION, tuple(_exchange(g, X, r)))
 
-    def close_pairs(members):
-        out = []
-        for u, v in combinations(sorted(members), 2):
-            if bfs_capped(g, u, r)[v] <= r:
-                out.append((u, v))
-        return out
 
-    def f_value(members):
-        close = set()
-        for u, v in close_pairs(members):
-            close.add(u)
-            close.add(v)
-        return len(close)
+def _close_pairs(g: Graph, members, r: int):
+    """The pairs of sorted ``members`` at distance <= r, in the order of
+    ``combinations(members, 2)``: one capped BFS per member."""
+    out = []
+    for idx, u in enumerate(members[:-1]):
+        dist = bfs_capped(g, u, r)
+        out.extend((u, v) for v in members[idx + 1:] if dist[v] <= r)
+    return out
 
-    guard = k + 1
-    while True:
-        pairs = close_pairs(X)
-        if not pairs:
-            break
+
+def _exchange(g: Graph, X, r: int):
+    """Repair the sorted set X into one at pairwise distance > r: while a
+    close pair remains, swap the second vertex of the first such pair for
+    the lowest-id vertex farther than r from the rest.  Each swap must
+    strictly shrink the number of vertices in close pairs."""
+    guard = len(X) + 1
+    pairs = _close_pairs(g, X, r)
+    while pairs:
         guard -= 1
         if guard < 0:
             raise InternalInvariantError(
                 "exchange loop failed to terminate; capture set invalid")
-        before = f_value(X)
+        before = len({v for pair in pairs for v in pair})
         w = pairs[0][1]
         rest = [x for x in X if x != w]
-        u = None
-        for cand in range(g.n):
-            dist = bfs_capped(g, cand, r)
-            if all(dist[x] == INF for x in rest):
-                u = cand
-                break
-        if u is None:
+        near = multi_source_distances(g, rest, r)
+        if INF not in near:
             raise InternalInvariantError(
                 "remainder dominates the graph; capture set was not a "
                 "valid capture certificate")
-        X = sorted(rest + [u])
-        if f_value(X) >= before:
+        X = sorted(rest + [near.index(INF)])
+        pairs = _close_pairs(g, X, r)
+        if len({v for pair in pairs for v in pair}) >= before:
             raise InternalInvariantError("exchange loop made no progress")
-    return Decision(SOLUTION, tuple(X))
+    return X
+
+
+def _free_multiset(compat, counts, k, work_budget):
+    """Lexicographically first non-decreasing size-k tuple of profile
+    indices, profile ``i`` used at most ``counts[i]`` times, whose members
+    are pairwise compatible (a repeated index needs ``compat[i][i]``); None
+    when there is none.  A depth-first search that raises
+    ResourceBudgetError on visiting more than ``work_budget`` nodes."""
+    np = len(counts)
+    chosen: list = []
+    nxt = [0]  # nxt[d]: the next index to try after chosen[:d]
+    nodes = 1
+    deepest = 0
+    while nxt:
+        if len(chosen) == k:
+            return tuple(chosen)
+        i = nxt[-1]
+        while i < np:
+            mult = chosen.count(i)
+            if (mult < counts[i] and (not mult or compat[i][i])
+                    and all(compat[j][i] for j in chosen)):
+                break
+            i += 1
+        if i == np:
+            nxt.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        nodes += 1
+        if nodes > work_budget:
+            raise ResourceBudgetError(
+                f"profile-multiset search exceeded its work budget of "
+                f"{work_budget} nodes ({nodes - 1} explored, deepest "
+                f"multiset size {deepest} of {k})")
+        nxt[-1] = i + 1
+        chosen.append(i)
+        nxt.append(i)
+        deepest = max(deepest, len(chosen))
+    return None
 
 
 # --- brute-force reference solvers ------------------------------------------
