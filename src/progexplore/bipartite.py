@@ -9,7 +9,7 @@ Everything here is exponential and intended for graphs of desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InputError, ParseError, ResourceBudgetError
 from .formulas import DistanceFormula, DistanceMatrix, evaluate
@@ -111,22 +111,28 @@ def index_of(h: BipartiteGraph, kind: str,
 
     Exhaustive search over extension states; states are memoized on the
     pools of still-usable vertices, which fully determine the remaining
-    depth.  Exceeding the node budget raises, never returns a wrong answer.
+    depth.  Ladder and co-matching states stop scanning moves once their
+    depth reaches an upper bound on it, and skip a move whose child's
+    bound cannot beat the depth found so far; only strict improvements
+    change the chosen move, so pruning never changes the obstruction.
+    Exceeding the node budget raises, never returns a wrong answer.
     """
     if kind not in OBSTRUCTION_KINDS:
         raise InputError(f"unknown obstruction kind '{kind}'")
     full_l = (1 << h.left_size) - 1
     full_r = (1 << h.right_size) - 1
     radj = h.right_adj()
-    visits = [0]
+    memo = {}
+    visits = 0
 
     def spend():
-        visits[0] += 1
-        if visits[0] > node_budget:
+        nonlocal visits
+        visits += 1
+        if visits > node_budget:
             raise ResourceBudgetError(
-                f"obstruction search exceeded {node_budget} states")
-
-    memo = {}
+                f"{kind} obstruction search exceeded its budget of "
+                f"{node_budget} states ({visits - 1} visited, memo holds "
+                f"{len(memo)})")
 
     if kind == SEMILADDER:
         # State: left vertices adjacent to every witness chosen so far.
@@ -145,73 +151,70 @@ def index_of(h: BipartiteGraph, kind: str,
                         depth, choice = sub + 1, b
             memo[a_pool] = (depth, choice)
             return depth, choice
+    else:
+        # a_pool: left vertices adjacent to every chosen witness.  b_pool:
+        # right vertices non-adjacent (ladder) or adjacent (co-matching) to
+        # every chosen candidate; the co-matching pattern is permutation-
+        # invariant, so sequential construction loses nothing.  keep[a] is
+        # what choosing candidate a leaves of b_pool.
+        non_adj = [full_r & ~mask for mask in h.left_adj]
+        keep = non_adj if kind == LADDER else h.left_adj
 
-        order, _ = best(full_l)
-        a_seq, b_seq = [], []
-        a_pool = full_l
-        for _ in range(order):
-            _, b = memo[a_pool]
-            a = next(a for a in _bits(a_pool & ~radj[b]))
-            a_seq.append(a)
-            b_seq.append(b)
-            a_pool &= radj[b]
-        return order, Obstruction(SEMILADDER, tuple(a_seq), tuple(b_seq))
-
-    if kind == LADDER:
-        # a_pool: left vertices adjacent to all chosen witnesses;
-        # b_pool: right vertices non-adjacent to all chosen candidates.
         def best(a_pool, b_pool):
             key = (a_pool, b_pool)
             hit = memo.get(key)
             if hit is not None:
                 return hit
             spend()
-            depth, choice = 0, None
+            # A move pairs a with a non-adjacent b, and an obstruction uses
+            # distinct vertices, so the depth is at most the number of
+            # usable a's and of usable b's (those in some a's move set).
+            moves, usable_b = [], 0
             for a in _bits(a_pool):
-                for b in _bits(b_pool & ~h.left_adj[a]):
-                    sub, _ = best(a_pool & radj[b],
-                                  b_pool & ~h.left_adj[a] & full_r)
+                bs = b_pool & non_adj[a]
+                if bs:
+                    moves.append((a, bs))
+                    usable_b |= bs
+            cap = min(len(moves), usable_b.bit_count())
+            depth, choice = 0, None
+            for a, bs in moves:
+                if depth == cap:
+                    break
+                child_b = b_pool & keep[a]
+                if child_b.bit_count() < depth:
+                    continue
+                for b in _bits(bs):
+                    child_a = a_pool & radj[b]
+                    if child_a.bit_count() < depth:
+                        continue
+                    sub, _ = best(child_a, child_b)
                     if sub + 1 > depth:
                         depth, choice = sub + 1, (a, b)
+                        if depth == cap:
+                            break
             memo[key] = (depth, choice)
             return depth, choice
 
-        order, _ = best(full_l, full_r)
-        a_seq, b_seq = [], []
-        a_pool, b_pool = full_l, full_r
-        for _ in range(order):
-            _, (a, b) = memo[(a_pool, b_pool)]
-            a_seq.append(a)
-            b_seq.append(b)
-            a_pool, b_pool = a_pool & radj[b], b_pool & ~h.left_adj[a] & full_r
-        return order, Obstruction(LADDER, tuple(a_seq), tuple(b_seq))
-
-    # Co-matching: both pools shrink to common neighborhoods; the pattern is
-    # permutation-invariant, so sequential construction loses nothing.
-    def best(a_pool, b_pool):
-        key = (a_pool, b_pool)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        spend()
-        depth, choice = 0, None
-        for a in _bits(a_pool):
-            for b in _bits(b_pool & ~h.left_adj[a]):
-                sub, _ = best(a_pool & radj[b], b_pool & h.left_adj[a])
-                if sub + 1 > depth:
-                    depth, choice = sub + 1, (a, b)
-        memo[key] = (depth, choice)
-        return depth, choice
-
-    order, _ = best(full_l, full_r)
+    try:
+        order, _ = (best(full_l) if kind == SEMILADDER
+                    else best(full_l, full_r))
+    finally:
+        # best reaches itself through its closure cell; emptying the cell
+        # frees the memo now instead of at the next cyclic gc pass
+        del best
     a_seq, b_seq = [], []
     a_pool, b_pool = full_l, full_r
     for _ in range(order):
-        _, (a, b) = memo[(a_pool, b_pool)]
+        if kind == SEMILADDER:
+            _, b = memo[a_pool]
+            a = next(_bits(a_pool & ~radj[b]))
+        else:
+            _, (a, b) = memo[(a_pool, b_pool)]
+            b_pool &= keep[a]
         a_seq.append(a)
         b_seq.append(b)
-        a_pool, b_pool = a_pool & radj[b], b_pool & h.left_adj[a]
-    return order, Obstruction(COMATCHING, tuple(a_seq), tuple(b_seq))
+        a_pool &= radj[b]
+    return order, Obstruction(kind, tuple(a_seq), tuple(b_seq))
 
 
 # --- Helly-property checks --------------------------------------------------
@@ -219,21 +222,6 @@ def index_of(h: BipartiteGraph, kind: str,
 WEAK = "weak"
 FULL = "full"
 STRONG = "strong"
-
-
-def _cover_table(h: BipartiteGraph):
-    """cov[B] = bitmask of left vertices adjacent to every right vertex in B.
-
-    cov[empty] = all of L (the empty set is covered iff L is nonempty).
-    """
-    full_l = (1 << h.left_size) - 1
-    radj = h.right_adj()
-    cov = [0] * (1 << h.right_size)
-    cov[0] = full_l
-    for mask in range(1, 1 << h.right_size):
-        low = mask & -mask
-        cov[mask] = cov[mask ^ low] & radj[low.bit_length() - 1]
-    return cov
 
 
 def _mask_to_set(mask):
@@ -252,8 +240,11 @@ def check_p_helly(h: BipartiteGraph, p: int, variant: str,
     of size <= p.  weak = the (L, R) pair only; full = all B subsets of R;
     strong = all A subsets of L too (checked via worst-case A per B).
 
-    Only the right side is enumerated (2^R subsets); the left side lives in
-    bitmasks, so it may be large.
+    Only the right side is enumerated; the left side lives in bitmasks, so
+    it may be large.  weak tests R and then only the subsets of size <= p.
+    full and strong walk the subsets of R once, in increasing mask order,
+    and return at the first counterexample, so the whole 2^R table is
+    built only when the property holds.
     """
     if p < 0:
         raise InputError("p must be >= 0")
@@ -262,56 +253,54 @@ def check_p_helly(h: BipartiteGraph, p: int, variant: str,
     if h.right_size > size_budget:
         raise ResourceBudgetError(
             f"helly check limited to {size_budget} right vertices")
-    cov = _cover_table(h)
     full_l = (1 << h.left_size) - 1
-    full_r = (1 << h.right_size) - 1
-    left_all = tuple(range(h.left_size))
+    radj = h.right_adj()
 
     if variant == WEAK:
-        if cov[full_r]:
+        covered = full_l
+        for col in radj:
+            covered &= col
+        if covered:
             return HellyResult(True, None)
-        if any(cov[m] == 0 and m.bit_count() <= p
-               for m in range(1 << h.right_size)):
-            return HellyResult(True, None)
-        return HellyResult(False, (left_all, _mask_to_set(full_r)))
+        for width in range(min(p, h.right_size) + 1):
+            for subset in combinations(radj, width):
+                covered = full_l
+                for col in subset:
+                    covered &= col
+                if not covered:
+                    return HellyResult(True, None)
+        return HellyResult(False, (tuple(range(h.left_size)),
+                                   tuple(range(h.right_size))))
 
-    if variant == FULL:
-        # small_uncov[B]: B contains an uncovered subset of size <= p
-        small_uncov = [False] * (1 << h.right_size)
-        for mask in range(1 << h.right_size):
-            if cov[mask] == 0 and mask.bit_count() <= p:
-                small_uncov[mask] = True
-                continue
-            m = mask
-            while m and not small_uncov[mask]:
-                low = m & -m
-                small_uncov[mask] = small_uncov[mask ^ low]
-                m ^= low
-        for mask in range(1 << h.right_size):
-            if cov[mask] == 0 and not small_uncov[mask]:
-                return HellyResult(False, (left_all, _mask_to_set(mask)))
-        return HellyResult(True, None)
-
-    # strong: for fixed B the worst A is L minus cov[B]; (A, B) violates iff
-    # every subset B' of B with |B'| <= p has cov[B'] strictly larger than
-    # cov[B].  eq[B] below is the complement of that condition, computed by
-    # peeling one element (sound because cov is antitone under inclusion).
-    eq = [False] * (1 << h.right_size)
-    for mask in range(1 << h.right_size):
+    # cov[B] = left vertices adjacent to every right vertex in B (all of L
+    # for the empty B).  For fixed B the worst A is L minus cov[B], and
+    # (A, B) violates iff every subset B' of B of size <= p has cov[B']
+    # larger than cov[B]; flag[B] is the complement, found by peeling one
+    # element (sound because cov is antitone under inclusion).  full is
+    # strong restricted to uncovered B, where A is all of L.  Both entries
+    # read only smaller masks, so one pass in increasing order settles B.
+    size = 1 << h.right_size
+    cov = [full_l] * size
+    flag = bytearray(size)
+    for mask in range(size):
+        if mask:
+            low = mask & -mask
+            cov[mask] = cov[mask ^ low] & radj[low.bit_length() - 1]
+        if variant == FULL and cov[mask]:
+            continue
         if mask.bit_count() <= p:
-            eq[mask] = True
+            flag[mask] = True
             continue
         m = mask
-        while m and not eq[mask]:
+        while m and not flag[mask]:
             low = m & -m
             sub = mask ^ low
             if cov[sub] == cov[mask]:
-                eq[mask] = eq[sub]
+                flag[mask] = flag[sub]
             m ^= low
-    for mask in range(1 << h.right_size):
-        if not eq[mask]:
-            a_set = _mask_to_set(full_l & ~cov[mask])
-            return HellyResult(False, (a_set, _mask_to_set(mask)))
+        if not flag[mask]:
+            return HellyResult(False, (_mask_to_set(full_l & ~cov[mask]),
+                                       _mask_to_set(mask)))
     return HellyResult(True, None)
 
 

@@ -1,0 +1,304 @@
+"""The pruned obstruction search and the early-exit Helly checks against the
+unpruned code they replace, the lifetime of the search's memo, the
+independent-set verifier's BFS count, and the names the traced benchmark
+wraps."""
+import gc
+import importlib.util
+import random
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from progexplore import (COMATCHING, LADDER, OBSTRUCTION_KINDS,
+                         BipartiteGraph, HellyResult, ResourceBudgetError,
+                         bfs_capped, check_p_helly, cli, generate, index_of)
+
+# --- references: the unpruned code ------------------------------------------
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def unpruned_index(h, kind):
+    """The ladder / co-matching search without pruning; returns the order,
+    the two sequences and the number of states it visited."""
+    full_l = (1 << h.left_size) - 1
+    full_r = (1 << h.right_size) - 1
+    radj = h.right_adj()
+    memo = {}
+
+    def child_b(b_pool, a):
+        if kind == LADDER:
+            return b_pool & ~h.left_adj[a] & full_r
+        return b_pool & h.left_adj[a]
+
+    def best(a_pool, b_pool):
+        key = (a_pool, b_pool)
+        if key in memo:
+            return memo[key]
+        depth, choice = 0, None
+        for a in _bits(a_pool):
+            for b in _bits(b_pool & ~h.left_adj[a]):
+                sub, _ = best(a_pool & radj[b], child_b(b_pool, a))
+                if sub + 1 > depth:
+                    depth, choice = sub + 1, (a, b)
+        memo[key] = (depth, choice)
+        return depth, choice
+
+    order, _ = best(full_l, full_r)
+    a_seq, b_seq = [], []
+    a_pool, b_pool = full_l, full_r
+    for _ in range(order):
+        _, (a, b) = memo[(a_pool, b_pool)]
+        a_seq.append(a)
+        b_seq.append(b)
+        a_pool, b_pool = a_pool & radj[b], child_b(b_pool, a)
+    return order, tuple(a_seq), tuple(b_seq), len(memo)
+
+
+def two_pass_helly(h, p, variant):
+    """The whole cover table first, then a scan for the first violation."""
+    full_l = (1 << h.left_size) - 1
+    full_r = (1 << h.right_size) - 1
+    radj = h.right_adj()
+    size = 1 << h.right_size
+    cov = [0] * size
+    cov[0] = full_l
+    for mask in range(1, size):
+        low = mask & -mask
+        cov[mask] = cov[mask ^ low] & radj[low.bit_length() - 1]
+    left_all = tuple(range(h.left_size))
+    if variant == "weak":
+        if cov[full_r] or any(cov[m] == 0 and m.bit_count() <= p
+                              for m in range(size)):
+            return HellyResult(True, None)
+        return HellyResult(False, (left_all, tuple(_bits(full_r))))
+    if variant == "full":
+        small = [False] * size
+        for mask in range(size):
+            if cov[mask] == 0 and mask.bit_count() <= p:
+                small[mask] = True
+                continue
+            m = mask
+            while m and not small[mask]:
+                low = m & -m
+                small[mask] = small[mask ^ low]
+                m ^= low
+        for mask in range(size):
+            if cov[mask] == 0 and not small[mask]:
+                return HellyResult(False, (left_all, tuple(_bits(mask))))
+        return HellyResult(True, None)
+    eq = [False] * size
+    for mask in range(size):
+        if mask.bit_count() <= p:
+            eq[mask] = True
+            continue
+        m = mask
+        while m and not eq[mask]:
+            low = m & -m
+            if cov[mask ^ low] == cov[mask]:
+                eq[mask] = eq[mask ^ low]
+            m ^= low
+    for mask in range(size):
+        if not eq[mask]:
+            return HellyResult(False, (tuple(_bits(full_l & ~cov[mask])),
+                                       tuple(_bits(mask))))
+    return HellyResult(True, None)
+
+
+def bipartite_graphs(max_left, max_right):
+    return st.integers(0, max_left).flatmap(
+        lambda left: st.integers(0, max_right).flatmap(
+            lambda right: st.lists(
+                st.integers(0, (1 << right) - 1),
+                min_size=left, max_size=left).map(
+                    lambda rows: BipartiteGraph(left, right, tuple(rows)))))
+
+
+def seeded_16x16(seed, density):
+    rng = random.Random(seed)
+    return BipartiteGraph.from_edges(
+        16, 16, [(l, r) for l in range(16) for r in range(16)
+                 if rng.random() < density])
+
+
+# --- the pruned search -------------------------------------------------------
+
+
+def assert_same_obstruction(h, kind):
+    order, obstruction = index_of(h, kind)
+    want = unpruned_index(h, kind)
+    assert (order, obstruction.a_seq, obstruction.b_seq) == want[:3]
+    assert obstruction.kind == kind and obstruction.verify(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs(9, 9), st.sampled_from((LADDER, COMATCHING)))
+def test_pruned_search_equals_unpruned(h, kind):
+    assert_same_obstruction(h, kind)
+
+
+@pytest.mark.parametrize("density", (0.3, 0.5, 0.7))
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", (LADDER, COMATCHING))
+def test_pruned_search_equals_unpruned_16x16(seed, density, kind):
+    assert_same_obstruction(seeded_16x16(seed, density), kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_graphs(7, 7), st.sampled_from((LADDER, COMATCHING)))
+def test_budget_fires_no_earlier_than_unpruned(h, kind):
+    # the pruned search visits a subset of the unpruned search's states
+    order, _, _, visited = unpruned_index(h, kind)
+    assert index_of(h, kind, node_budget=visited)[0] == order
+
+
+def test_budget_error_says_how_far_it_got():
+    h = BipartiteGraph.from_edges(
+        8, 8, [(i, j) for i in range(8) for j in range(8) if i != j])
+    with pytest.raises(ResourceBudgetError) as err:
+        index_of(h, COMATCHING, node_budget=3)
+    message = str(err.value)
+    assert "comatching" in message
+    assert "budget of 3 states" in message
+    assert "3 visited" in message and "memo holds 0" in message
+
+
+@pytest.fixture
+def no_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("kind", OBSTRUCTION_KINDS)
+def test_index_of_leaves_no_reference_cycle(no_gc, kind):
+    order, _ = index_of(seeded_16x16(1, 0.5), kind)
+    assert order > 0
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("kind", OBSTRUCTION_KINDS)
+def test_index_budget_error_leaves_no_reference_cycle(no_gc, kind):
+    try:
+        index_of(seeded_16x16(1, 0.5), kind, node_budget=5)
+    except ResourceBudgetError:
+        pass
+    else:
+        pytest.fail("budget of 5 states did not fire")
+    assert gc.collect() == 0
+
+
+# --- the early-exit Helly checks ---------------------------------------------
+
+VARIANTS = ("weak", "full", "strong")
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_graphs(7, 8), st.integers(0, 5), st.sampled_from(VARIANTS))
+def test_helly_equals_two_pass_scan(h, p, variant):
+    assert check_p_helly(h, p, variant) == two_pass_helly(h, p, variant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_graphs(7, 7), st.integers(0, 5))
+def test_strong_helly_threshold_is_comatching_index(h, p):
+    # the law the exact-indices benchmark checks on its own graphs
+    cm = index_of(h, COMATCHING)[0]
+    assert check_p_helly(h, p, "strong").holds == (cm <= p)
+
+
+EDGE_CASES = (
+    BipartiteGraph(0, 0, ()),
+    BipartiteGraph(0, 3, ()),
+    BipartiteGraph(3, 0, (0, 0, 0)),
+    BipartiteGraph(1, 1, (0,)),           # R uncovered, its only subset too
+    BipartiteGraph(2, 2, (0b11, 0b00)),   # left 0 covers the side
+    BipartiteGraph(2, 3, (0b011, 0b110)),
+)
+
+
+@pytest.mark.parametrize("h", EDGE_CASES)
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_helly_edge_cases(h, p, variant):
+    assert check_p_helly(h, p, variant) == two_pass_helly(h, p, variant)
+
+
+def test_helly_p0_empty_set_is_covered():
+    # p = 0 only allows the empty subset, which is covered whenever L is
+    # nonempty: an uncovered right vertex is then a counterexample
+    h = BipartiteGraph(1, 1, (0,))
+    assert check_p_helly(h, 0, "full") == HellyResult(False, ((0,), (0,)))
+    assert not check_p_helly(h, 0, "weak").holds
+    assert check_p_helly(h, 1, "full").holds
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_helly_equals_two_pass_scan_16x16(seed, variant):
+    for density in (0.3, 0.5, 0.7):
+        h = seeded_16x16(seed, density)
+        cm = index_of(h, COMATCHING)[0]
+        for p in (1, 2, cm - 1, cm):
+            if p >= 0:
+                assert check_p_helly(h, p, variant) == \
+                    two_pass_helly(h, p, variant)
+
+
+# --- the independent-set verifier --------------------------------------------
+
+
+def test_verify_independent_runs_one_bfs_per_member(monkeypatch):
+    g = generate("path", {"n": 200})
+    calls = []
+
+    def counted(graph, source, radius):
+        calls.append(source)
+        return bfs_capped(graph, source, radius)
+
+    monkeypatch.setattr(cli, "bfs_capped", counted)
+    members = list(range(0, 200, 10))
+    assert cli._verify_independent(g, members, 2)
+    assert len(calls) <= len(members)
+    calls.clear()
+    assert not cli._verify_independent(g, members + [102], 2)
+    assert len(calls) <= len(members) + 1
+
+
+def test_verify_independent_equals_pairwise_check():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = generate("tree", {"n": n}, seed=rng.randint(0, 10**6))
+        members = rng.sample(range(n), rng.randint(0, min(n, 5)))
+        if members and rng.random() < 0.2:
+            members.append(members[0])  # a repeated member is never far
+        r = rng.randint(0, 4)
+        pairwise = all(bfs_capped(g, u, r)[v] > r
+                       for u, v in combinations(sorted(members), 2))
+        assert cli._verify_independent(g, members, r) == pairwise
+
+
+# --- the traced benchmark's targets ------------------------------------------
+
+
+def test_trace_targets_exist():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.SPAN_TARGETS + tracing.LEAF_TARGETS
+    assert targets
+    for module, attr, _, _ in targets:
+        assert module.__name__.startswith("progexplore.")
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr} is gone"
