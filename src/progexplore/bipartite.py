@@ -49,19 +49,15 @@ class BipartiteGraph:
 
     def edges(self):
         for l, mask in enumerate(self.left_adj):
-            while mask:
-                low = mask & -mask
-                yield (l, low.bit_length() - 1)
-                mask ^= low
+            for r in _bits(mask):
+                yield (l, r)
 
     def right_adj(self) -> tuple:
         """Per right vertex, bitmask over left vertices."""
         out = [0] * self.right_size
         for l, mask in enumerate(self.left_adj):
-            while mask:
-                low = mask & -mask
-                out[low.bit_length() - 1] |= 1 << l
-                mask ^= low
+            for r in _bits(mask):
+                out[r] |= 1 << l
         return tuple(out)
 
 

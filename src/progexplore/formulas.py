@@ -130,10 +130,6 @@ class DistanceMatrix:
     cap: int
     rows: tuple  # rows[i][j] in {0..cap} or INF
 
-    @classmethod
-    def from_lists(cls, rows, cap: int) -> "DistanceMatrix":
-        return cls(cap, tuple(tuple(row) for row in rows))
-
 
 def evaluate(f: DistanceFormula, m: DistanceMatrix) -> bool:
     if m.cap < f.radius():

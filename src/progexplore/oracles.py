@@ -32,20 +32,33 @@ def _check_tuple(g: Graph, t, length, what):
             raise InputError(f"invalid vertex {v} in {what} tuple")
 
 
-def _pivot_positions(pivot):
-    return {v: i for i, v in enumerate(pivot)}
+def _on_pivot(ib: ImplicitBipartite, tuples, length, what):
+    """Check ``tuples``, build the profile table on their vertices and
+    return it with ``rows[t][e][j]`` = capped dist(entry e, tuples[t][j]).
+    Entries ``idxs`` on the candidate side meet tuple t in the matrix
+    ``tuple(rows[t][i] for i in idxs)``; on the witness side, in its
+    transpose ``tuple(zip(*(rows[t][j] for j in idxs)))``."""
+    for t in tuples:
+        _check_tuple(ib.graph, t, length, what)
+    table = build_profile_table(ib.graph, {v for t in tuples for v in t},
+                                ib.formula.radius())
+    pos = {v: i for i, v in enumerate(table.pivot)}
+    values = [e.profile.values for e in table.entries]
+    rows = [[tuple(vals[pos[v]] for v in t) for vals in values]
+            for t in tuples]
+    return table, rows
 
-def _candidate_matrix(cand_profiles, witness_tuple, pos, cap):
-    """Matrix rows from candidate profiles; witness vertices must be pivots."""
-    return DistanceMatrix(cap, tuple(
-        tuple(pr.values[pos[w]] for w in witness_tuple)
-        for pr in cand_profiles))
 
+def _judge(f: DistanceFormula):
+    """``evaluate(f, .)`` on matrix rows, memoized for one oracle call."""
+    seen = {}
 
-def _witness_matrix(wit_profiles, cand_tuple, pos, cap):
-    return DistanceMatrix(cap, tuple(
-        tuple(wit_profiles[j].values[pos[a]] for j in range(len(wit_profiles)))
-        for a in cand_tuple))
+    def judge(rows):
+        if rows not in seen:
+            seen[rows] = evaluate(f, DistanceMatrix(f.radius(), rows))
+        return seen[rows]
+
+    return judge
 
 
 def _single_variable_children(f: DistanceFormula):
@@ -71,51 +84,45 @@ def candidate_oracle(ib: ImplicitBipartite, B):
     """First (lex over profile-table indices) candidate tuple agreeing with
     every witness tuple in B, assembled from profile representatives; None
     if no candidate agrees with all of B."""
-    g, f = ib.graph, ib.formula
-    for b in B:
-        _check_tuple(g, b, f.d, "witness")
-    r = f.radius()
-    pivot_vertices = sorted({v for b in B for v in b})
-    table = build_profile_table(g, pivot_vertices, r)
-    if not table.entries:
-        return None
-    pos = _pivot_positions(table.pivot)
+    f = ib.formula
+    table, rows = _on_pivot(ib, B, f.d, "witness")
+    n_profiles = len(table.entries)
     by_var = _single_variable_children(f)
     if by_var is not None and all(by_var):
-        choice = _covering_assignment(table, B, by_var, pos)
+        choice = _covering_assignment(rows, by_var, n_profiles)
     else:
-        choice = _product_assignment(table, B, f, pos, r)
+        judge = _judge(f)
+        choice = next(
+            (idxs for idxs in product(range(n_profiles), repeat=f.c)
+             if all(judge(tuple(rb[i] for i in idxs)) for rb in rows)),
+            None)
     if choice is None:
         return None
     return tuple(table.entries[i].representative for i in choice)
 
 
-def _product_assignment(table, B, f, pos, cap):
-    n_profiles = len(table.entries)
-    for idxs in product(range(n_profiles), repeat=f.c):
-        profs = [table.entries[i].profile for i in idxs]
-        if all(evaluate(f, _candidate_matrix(profs, b, pos, cap)) for b in B):
-            return idxs
-    return None
-
-
-def _covering_assignment(table, B, by_var, pos):
+def _covering_assignment(rows, by_var, n_profiles):
     """Lex-first profile assignment whose per-position witness coverage
     masks union to all of B.  Memoizes failed (position, still-needed mask)
     pairs and prunes with suffix-reachable unions."""
     c = len(by_var)
-    n_profiles = len(table.entries)
-    full = (1 << len(B)) - 1
+    full = (1 << len(rows)) - 1
     # coverage[i][e] = bitmask of witnesses in B satisfied when profile e
     # sits at candidate position i.  Each child reads only its own candidate
-    # variable, so one distance row stands in for every row of the matrix.
+    # variable, so one distance row stands in for every row of the matrix,
+    # and each distinct row is judged once per position.
     coverage = [[0] * n_profiles for _ in range(c)]
-    for e, entry in enumerate(table.entries):
-        values = entry.profile.values
-        for bi, b in enumerate(B):
-            rows = (tuple(values[pos[w]] for w in b),) * c
-            for i, children in enumerate(by_var):
-                if any(holds(ch, rows) for ch in children):
+    verdicts = {}
+    for bi, rb in enumerate(rows):
+        for e, row in enumerate(rb):
+            held = verdicts.get(row)
+            if held is None:
+                m = (row,) * c
+                held = verdicts[row] = [
+                    any(holds(ch, m) for ch in children)
+                    for children in by_var]
+            for i, h in enumerate(held):
+                if h:
                     coverage[i][e] |= 1 << bi
     suffix_union = [0] * (c + 1)
     for i in range(c - 1, -1, -1):
@@ -140,50 +147,44 @@ def _covering_assignment(table, B, by_var, pos):
         failed.add(key)
         return None
 
-    return dfs(0, full, ())
+    try:
+        return dfs(0, full, ())
+    finally:
+        del dfs  # dfs reaches itself through its closure cell
+
+
+def _defeats(ib: ImplicitBipartite, A):
+    """Yield, in lex order over witness-side entry tuples, each one that
+    disagrees with some candidate tuple in A: the bitmask over A of the
+    candidates it disagrees with, and its representative witness tuple."""
+    f = ib.formula
+    table, rows = _on_pivot(ib, A, f.c, "candidate")
+    judge = _judge(f)
+    for idxs in product(range(len(table.entries)), repeat=f.d):
+        mask = 0
+        for ai, ra in enumerate(rows):
+            if not judge(tuple(zip(*(ra[j] for j in idxs)))):
+                mask |= 1 << ai
+        if mask:
+            yield mask, tuple(table.entries[i].representative for i in idxs)
 
 
 def weak_witness_oracle(ib: ImplicitBipartite, a):
     """A witness tuple disagreeing with candidate a, or None when a agrees
     with every witness tuple (i.e. a is a solution)."""
-    g, f = ib.graph, ib.formula
-    _check_tuple(g, a, f.c, "candidate")
-    r = f.radius()
-    table = build_profile_table(g, sorted(set(a)), r)
-    pos = _pivot_positions(table.pivot)
-    n_profiles = len(table.entries)
-    for idxs in product(range(n_profiles), repeat=f.d):
-        profs = [table.entries[i].profile for i in idxs]
-        if not evaluate(f, _witness_matrix(profs, a, pos, r)):
-            return tuple(table.entries[i].representative for i in idxs)
-    return None
+    _, b = next(_defeats(ib, (a,)), (0, None))
+    return b
 
 
 def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
     """A set of at most p witness tuples such that every candidate in A
     disagrees with one of them, or None if no such set exists."""
-    g, f = ib.graph, ib.formula
     if not A:
         raise InputError("candidate list must be nonempty")
     if p < 1:
         raise InputError("need p >= 1")
-    for a in A:
-        _check_tuple(g, a, f.c, "candidate")
-    r = f.radius()
-    pivot_vertices = sorted({v for a in A for v in a})
-    table = build_profile_table(g, pivot_vertices, r)
-    pos = _pivot_positions(table.pivot)
-    n_profiles = len(table.entries)
+    options = list(_defeats(ib, A))  # (disagreement mask, witness tuple)
     full = (1 << len(A)) - 1
-    options = []  # (disagreement mask over A, profile index tuple)
-    for idxs in product(range(n_profiles), repeat=f.d):
-        profs = [table.entries[i].profile for i in idxs]
-        mask = 0
-        for ai, a in enumerate(A):
-            if not evaluate(f, _witness_matrix(profs, a, pos, r)):
-                mask |= 1 << ai
-        if mask:
-            options.append((mask, idxs))
     suffix = [0] * (len(options) + 1)
     for i in range(len(options) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | options[i][0]
@@ -202,11 +203,11 @@ def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
                 return got
         return None
 
-    picked = dfs(0, 0, ())
-    if picked is None:
-        return None
-    return [tuple(table.entries[i].representative for i in idxs)
-            for idxs in picked]
+    try:
+        picked = dfs(0, 0, ())
+    finally:
+        del dfs  # dfs reaches itself through its closure cell
+    return None if picked is None else list(picked)
 
 
 def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
@@ -219,21 +220,16 @@ def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
             f"extension oracle limited to d <= {d_budget} witness variables")
     for b in B:
         _check_tuple(g, b, f.d, "witness")
-    r = f.radius()
-    base = sorted({v for b in B for v in b})
     taken = set(map(tuple, B))
+    judge = _judge(f)
     for b_new in product(range(g.n), repeat=f.d):
         if b_new in taken:
             continue
-        pivot = sorted(set(base) | set(b_new))
-        table = build_profile_table(g, pivot, r)
-        pos = _pivot_positions(table.pivot)
-        n_profiles = len(table.entries)
-        for idxs in product(range(n_profiles), repeat=f.c):
-            profs = [table.entries[i].profile for i in idxs]
-            if not evaluate(f, _candidate_matrix(profs, b_new, pos, r)):
-                if all(evaluate(f, _candidate_matrix(profs, b, pos, r))
-                       for b in B):
-                    a = tuple(table.entries[i].representative for i in idxs)
-                    return a, b_new
+        table, (r_new, *rows) = _on_pivot(ib, (b_new, *B), f.d, "witness")
+        for idxs in product(range(len(table.entries)), repeat=f.c):
+            if (not judge(tuple(r_new[i] for i in idxs))
+                    and all(judge(tuple(rb[i] for i in idxs))
+                            for rb in rows)):
+                a = tuple(table.entries[i].representative for i in idxs)
+                return a, b_new
     return None

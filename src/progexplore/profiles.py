@@ -18,10 +18,6 @@ class DistanceProfile:
     radius: int
     values: tuple  # entries in {0..radius} or INF, aligned with sorted pivot
 
-    @property
-    def pivot_size(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -155,8 +151,7 @@ class ComplexityMeasurement:
 
 
 def _realized_count(g: Graph, pivot, r: int) -> int:
-    dists = [bfs_capped(g, s, r) for s in pivot]
-    return len({tuple(d[v] for d in dists) for v in range(g.n)})
+    return len(build_profile_table(g, pivot, r).entries)
 
 
 def measure_profile_complexity(

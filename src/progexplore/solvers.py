@@ -6,6 +6,7 @@ reproducible run to run.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -381,22 +382,16 @@ def independent_set_solve(g: Graph, k: int, r: int,
     pick = _free_multiset(compat, counts, k, work_budget)
     if pick is None:
         return Decision(NO_SOLUTION, list(Q))
-    # distinct lowest-id realizers per chosen profile
-    realizers: dict = {}
+    # distinct lowest-id realizers per chosen profile, in one vertex pass
+    wanted = Counter(pick)
     X = []
-    for i in pick:
-        skip = realizers.get(i, 0)
-        realizers[i] = skip + 1
-        found = 0
-        for v in range(g.n):
-            if table.vertex_to_profile[v] == i:
-                if found == skip:
-                    X.append(v)
-                    break
-                found += 1
-    X = sorted(X)
-    if len(set(X)) != k:
-        raise InternalInvariantError("representative instantiation collided")
+    for v in range(g.n):
+        i = table.vertex_to_profile[v]
+        if wanted[i]:
+            wanted[i] -= 1
+            X.append(v)
+    if len(X) != k:
+        raise InternalInvariantError("a chosen profile has too few realizers")
     return Decision(SOLUTION, tuple(_exchange(g, X, r)))
 
 
