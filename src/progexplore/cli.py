@@ -17,8 +17,9 @@ from .bipartite import OBSTRUCTION_KINDS, index_of, parse_bipartite
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ParseError, ResourceBudgetError)
 from .formulas import (DistanceMatrix, build_delta, evaluate, parse_formula)
-from .graph import (GENERATOR_FAMILIES, bfs_capped, generate, parse_dimacs,
-                    parse_graph, serialize_graph)
+from .graph import (GENERATOR_FAMILIES, INF, bfs_capped, generate,
+                    multi_source_distances, parse_dimacs, parse_graph,
+                    serialize_graph)
 from .oracles import ImplicitBipartite
 from .profiles import measure_profile_complexity
 from .solvers import (DEFAULT_STRATEGY, DEFAULT_WORK_BUDGET, NO_SOLUTION,
@@ -49,8 +50,7 @@ def _emit(payload: dict) -> None:
 
 
 def _verify_dominating(g, solution, r) -> bool:
-    dists = [bfs_capped(g, v, r) for v in set(solution)]
-    return all(any(d[u] <= r for d in dists) for u in range(g.n))
+    return INF not in multi_source_distances(g, set(solution), r)
 
 
 def _verify_independent(g, solution, r) -> bool:

@@ -165,10 +165,8 @@ def graph_power(g: Graph, s: int) -> Graph:
         return g
     edges = []
     for u in range(g.n):
-        dist = bfs_capped(g, u, s)
-        for v in range(u + 1, g.n):
-            if dist[v] is not INF and dist[v] >= 1:
-                edges.append((u, v))
+        reached = bfs_reach(g, u, s)[1]
+        edges.extend((u, v) for v in sorted(reached) if v > u)
     return Graph.from_edges(g.n, edges)
 
 

@@ -1,27 +1,98 @@
 """Profile-based oracles over the implicit candidate/witness graph.
 
-None of these ever materializes the bipartite graph: each call builds a
-profile table on a pivot set made of the vertices mentioned by the inputs,
-and decides agreement from profiles alone (sound because distance formulas
-only read pairwise candidate/witness distances, all of which end at pivot
-vertices).
+None of these ever materializes the bipartite graph.  They decide
+agreement from profiles on a pivot set made of the vertices mentioned by
+the inputs (sound because distance formulas only read pairwise
+candidate/witness distances, all of which end at pivot vertices).  The
+candidate oracle refines one profile partition per implicit graph as its
+witness list grows; the other oracles build one profile table per call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InputError, ResourceBudgetError
 from .formulas import (Atom, DistanceFormula, DistanceMatrix, Or, evaluate,
                        holds, walk)
-from .graph import Graph
-from .profiles import build_profile_table
+from .graph import INF, Graph
+from .profiles import ProfileRefiner, build_profile_table
+
+
+class _CandidateState:
+    """What the candidate oracle keeps between calls on one implicit graph.
+
+    It holds copies of the witness tuples absorbed so far and the profile
+    partition on their vertices.  Per class it keeps either the coverage
+    masks of the covering search, one bit per tuple, or the distance rows
+    of the product search, one row per tuple.  It also keeps the verdict
+    memo.  Within one solve B only grows, so a call feeds in just the new
+    tuples: a split class passes its masks or rows to both halves, because
+    the new pivot vertex is in no earlier tuple.  A B that does not extend
+    the absorbed tuples starts the state over.
+    """
+
+    def __init__(self):
+        self.taken = None  # None until the first call
+
+    def absorb(self, ib: ImplicitBipartite, B):
+        g, f = ib.graph, ib.formula
+        B = [tuple(b) for b in B]
+        start = len(self.taken) if self.taken is not None else 0
+        if self.taken is None or B[:start] != self.taken:
+            start = 0
+        for b in B[start:]:
+            _check_tuple(g, b, f.d, "witness")
+        if start == 0:
+            self.taken = []
+            self.parts = ProfileRefiner(g, f.radius())
+            by_var = _single_variable_children(f)
+            self.by_var = by_var if by_var is not None and all(by_var) else None
+            # class id -> coverage masks per position, or rows per tuple
+            self.data = [[0] * f.c if self.by_var else []]
+            self.verdicts = {}
+            self.judge = _judge(f)
+        for b in B[start:]:
+            self._add(b)
+
+    def _add(self, b):
+        bit = 1 << len(self.taken)
+        self.taken.append(b)
+        data = self.data
+        for v in b:
+            for parent, child in self.parts.add(v):
+                data.append(list(data[parent]))
+        balls = [self.parts.balls[v] for v in b]
+        for k, rep in enumerate(self.parts.rep):
+            row = tuple(ball.get(rep, INF) for ball in balls)
+            if self.by_var is None:
+                data[k].append(row)
+                continue
+            # each child reads only its own candidate variable, so one
+            # distance row stands in for every row of the matrix
+            held = self.verdicts.get(row)
+            if held is None:
+                m = (row,) * len(self.by_var)
+                held = self.verdicts[row] = [
+                    any(holds(ch, m) for ch in children)
+                    for children in self.by_var]
+            masks = data[k]
+            for i, h in enumerate(held):
+                if h:
+                    masks[i] |= bit
 
 
 @dataclass(frozen=True)
 class ImplicitBipartite:
+    """Candidates and witnesses of ``formula`` over ``graph``.  It also
+    carries the candidate oracle's state, so one instance serves one
+    thread at a time."""
+
     graph: Graph
     formula: DistanceFormula
+    _candidates: _CandidateState = field(
+        default_factory=_CandidateState, init=False, compare=False,
+        repr=False)
 
 
 def _check_tuple(g: Graph, t, length, what):
@@ -84,46 +155,32 @@ def candidate_oracle(ib: ImplicitBipartite, B):
     """First (lex over profile-table indices) candidate tuple agreeing with
     every witness tuple in B, assembled from profile representatives; None
     if no candidate agrees with all of B."""
-    f = ib.formula
-    table, rows = _on_pivot(ib, B, f.d, "witness")
-    n_profiles = len(table.entries)
-    by_var = _single_variable_children(f)
-    if by_var is not None and all(by_var):
-        choice = _covering_assignment(rows, by_var, n_profiles)
+    state = ib._candidates
+    state.absorb(ib, B)
+    order = state.parts.order()
+    data = [state.data[k] for k in order]
+    if state.by_var is not None:
+        choice = _covering_assignment(
+            [[masks[i] for masks in data] for i in range(ib.formula.c)],
+            (1 << len(state.taken)) - 1)
     else:
-        judge = _judge(f)
+        judge = state.judge
         choice = next(
-            (idxs for idxs in product(range(n_profiles), repeat=f.c)
-             if all(judge(tuple(rb[i] for i in idxs)) for rb in rows)),
+            (idxs for idxs in product(range(len(data)), repeat=ib.formula.c)
+             if all(map(judge, zip(*(data[i] for i in idxs))))),
             None)
     if choice is None:
         return None
-    return tuple(table.entries[i].representative for i in choice)
+    return tuple(state.parts.rep[order[i]] for i in choice)
 
 
-def _covering_assignment(rows, by_var, n_profiles):
+def _covering_assignment(coverage, full):
     """Lex-first profile assignment whose per-position witness coverage
-    masks union to all of B.  Memoizes failed (position, still-needed mask)
-    pairs and prunes with suffix-reachable unions."""
-    c = len(by_var)
-    full = (1 << len(rows)) - 1
-    # coverage[i][e] = bitmask of witnesses in B satisfied when profile e
-    # sits at candidate position i.  Each child reads only its own candidate
-    # variable, so one distance row stands in for every row of the matrix,
-    # and each distinct row is judged once per position.
-    coverage = [[0] * n_profiles for _ in range(c)]
-    verdicts = {}
-    for bi, rb in enumerate(rows):
-        for e, row in enumerate(rb):
-            held = verdicts.get(row)
-            if held is None:
-                m = (row,) * c
-                held = verdicts[row] = [
-                    any(holds(ch, m) for ch in children)
-                    for children in by_var]
-            for i, h in enumerate(held):
-                if h:
-                    coverage[i][e] |= 1 << bi
+    masks (``coverage[i][e]``) union to ``full``.  Memoizes failed
+    (position, still-needed mask) pairs and prunes with suffix-reachable
+    unions."""
+    c = len(coverage)
+    n_profiles = len(coverage[0])
     suffix_union = [0] * (c + 1)
     for i in range(c - 1, -1, -1):
         acc = 0

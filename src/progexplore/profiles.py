@@ -144,6 +144,67 @@ def build_profile_table(g: Graph, pivot, r: int, allowed=None) -> ProfileTable:
                         ProfileIndex(g.n, near, far, allowed))
 
 
+class ProfileRefiner:
+    """The profile classes of all vertices on a pivot set that grows one
+    vertex at a time, by partition refinement.
+
+    Keeps one capped ball per pivot vertex and the class id of each vertex
+    inside some ball.  Every other vertex has the all-INF profile and sits
+    in the implicit far class 0, represented by the lowest id outside every
+    ball.  A new pivot vertex costs one capped BFS and splits only the
+    classes its ball meets.  A split class keeps its id for one part and
+    the other parts get the next ids, so a caller can carry per-class data
+    from parent to child.  In increasing representative order (``order``)
+    the classes are the entries of ``build_profile_table`` on the same
+    pivot set.
+    """
+
+    def __init__(self, g: Graph, r: int):
+        self.g, self.r = g, r
+        self.balls = {}  # pivot vertex -> {vertex within r: distance}
+        self.class_of = {}  # vertex inside some ball -> class id
+        self.members = [None]  # class id -> set of members; None: far class
+        self.rep = [0]  # class id -> lowest member
+        self.far_count = g.n
+
+    def add(self, s: int):
+        """Refine by the capped distance to ``s``; return a (parent, child)
+        pair of class ids per class created, in increasing child id."""
+        if s in self.balls:
+            return []
+        dist, reached = bfs_reach(self.g, s, self.r)
+        self.balls[s] = {v: dist[v] for v in reached}
+        parts = {}  # (class id, distance to s) -> vertices
+        for v in reached:
+            parts.setdefault((self.class_of.get(v, 0), dist[v]), []).append(v)
+        splits = []
+        for (k, _), vs in parts.items():
+            members = self.members[k]
+            if k == 0:
+                self.far_count -= len(vs)
+            elif len(vs) == len(members):  # what is left of k keeps its id
+                continue
+            else:
+                members.difference_update(vs)
+                if self.rep[k] not in members:
+                    self.rep[k] = min(members)
+            child = len(self.rep)
+            self.members.append(set(vs))
+            self.rep.append(min(vs))
+            for v in vs:
+                self.class_of[v] = child
+            splits.append((k, child))
+        if self.far_count:  # the far representative only moves up
+            while self.rep[0] in self.class_of:
+                self.rep[0] += 1
+        return splits
+
+    def order(self):
+        """The nonempty class ids in increasing representative order."""
+        ids = sorted(range(len(self.rep)), key=self.rep.__getitem__)
+        return ids if self.far_count else [k for k in ids if k]
+
+
 @dataclass(frozen=True)
 class ComplexityMeasurement:
     count: int

@@ -1,12 +1,15 @@
 import json
 import re
+from itertools import combinations
 
 import pytest
 
-from progexplore import (TIMING_COLUMNS, build_delta, cli_main,
-                         records_to_csv, run_bench, serialize_bipartite,
-                         serialize_formula, serialize_graph)
+from progexplore import (TIMING_COLUMNS, bfs_capped, build_delta, cli_main,
+                         generate, records_to_csv, run_bench,
+                         serialize_bipartite, serialize_formula,
+                         serialize_graph)
 from progexplore.bipartite import BipartiteGraph
+from progexplore.cli import _verify_dominating
 from progexplore.graph import Graph
 
 
@@ -56,6 +59,20 @@ def test_domset_positive_verified(p4, capsys):
     assert code == 0 and data["decision"] == "SOLUTION"
     assert data["verified"] is True
     assert sorted(data["solution"]) == data["solution"]
+
+
+def test_verify_dominating_matches_per_vertex_check():
+    """One multi-source BFS gives the verdict of one BFS per member."""
+    for g in (path_graph(7), generate("grid", {"rows": 3, "cols": 4}),
+              generate("tree", {"n": 9}, seed=3),
+              Graph.from_edges(6, [(0, 1), (2, 3)])):
+        for r in range(3):
+            for k in range(3):
+                for sol in combinations(range(g.n), k):
+                    dists = [bfs_capped(g, v, r) for v in sol]
+                    want = all(any(d[u] <= r for d in dists)
+                               for u in range(g.n))
+                    assert _verify_dominating(g, sol, r) is want
 
 
 def test_domset_missing_graph(tmp_path, capsys):

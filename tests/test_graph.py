@@ -112,6 +112,37 @@ def test_power_zero_rejected():
         graph_power(path(2), 0)
 
 
+def full_scan_power_edges(g, s):
+    """The edge list of G^s from a scan of every later vertex per source."""
+    edges = []
+    for u in range(g.n):
+        dist = bfs_capped(g, u, s)
+        for v in range(u + 1, g.n):
+            if dist[v] is not INF and dist[v] >= 1:
+                edges.append((u, v))
+    return edges
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(2, 4),
+       st.floats(0.05, 0.6))
+@settings(max_examples=80, deadline=None)
+def test_power_edge_list_matches_full_scan(seed, n, s, p):
+    g = random_graph(n, seed, p=p)
+    seen = []
+    saved = Graph.__dict__["from_edges"]
+
+    def capture(n, edges):
+        seen.append(list(edges))
+        return saved.__func__(n, seen[-1])
+
+    Graph.from_edges = staticmethod(capture)
+    try:
+        graph_power(g, s)
+    finally:
+        Graph.from_edges = saved
+    assert seen == [full_scan_power_edges(g, s)]
+
+
 @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(2, 3))
 @settings(max_examples=60, deadline=None)
 def test_power_distance_identity(seed, n, s):
