@@ -3,7 +3,8 @@
 Machine-readable JSON (schema "pe/1") goes to stdout, diagnostics to stderr.
 Exit codes: 0 = solved/measured, 1 = a negative decision (still a success,
 distinguished in the payload), 2 = usage error, 3 = resource budget hit,
-4 = internal error (a broken invariant or plug-in contract, never bad input).
+4 = internal error (a broken invariant or plug-in contract, or any other
+unexpected exception; never bad input).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .graph import (GENERATOR_FAMILIES, INF, bfs_capped, generate,
 from .oracles import ImplicitBipartite
 from .profiles import measure_profile_complexity
 from .solvers import (DEFAULT_STRATEGY, DEFAULT_WORK_BUDGET, NO_SOLUTION,
-                      SOLUTION, STRATEGIES, coverage_core,
+                      SOLUTION, STRATEGIES, close_pairs, coverage_core,
                       independent_set_solve, semi_ladder_solve)
 
 SCHEMA = "pe/1"
@@ -54,12 +55,7 @@ def _verify_dominating(g, solution, r) -> bool:
 
 
 def _verify_independent(g, solution, r) -> bool:
-    members = sorted(solution)
-    for i, u in enumerate(members[:-1]):
-        dist = bfs_capped(g, u, r)
-        if any(dist[v] <= r for v in members[i + 1:]):
-            return False
-    return True
+    return not close_pairs(g, sorted(solution), r)
 
 
 def _verify_formula_solution(g, f, a) -> bool:
@@ -302,6 +298,9 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE
     except (InternalInvariantError, ContractViolationError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a crash is never a negative decision
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -15,7 +15,7 @@ from itertools import product
 from .errors import InputError, ResourceBudgetError
 from .formulas import (Atom, DistanceFormula, DistanceMatrix, Or, evaluate,
                        holds, walk)
-from .graph import INF, Graph
+from .graph import Graph
 from .profiles import ProfileRefiner, build_profile_table
 
 
@@ -62,9 +62,8 @@ class _CandidateState:
         for v in b:
             for parent, child in self.parts.add(v):
                 data.append(list(data[parent]))
-        balls = [self.parts.balls[v] for v in b]
         for k, rep in enumerate(self.parts.rep):
-            row = tuple(ball.get(rep, INF) for ball in balls)
+            row = self.parts.row(rep, b)
             if self.by_var is None:
                 data[k].append(row)
                 continue

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -29,14 +28,12 @@ class ProfileEntry:
 @dataclass(frozen=True)
 class ProfileIndex:
     """Vertex id -> profile-table entry index, stored only for the vertices
-    inside some pivot ball.  Every other vertex of the table's domain has
-    the all-INF profile, entry ``far``; a vertex outside ``allowed`` has no
-    entry (None)."""
+    inside some pivot ball.  Every other vertex has the all-INF profile,
+    entry ``far``."""
 
     n: int
     near: dict  # vertex -> entry index, for the union of the pivot balls
     far: int | None  # entry of the all-INF profile; None when it is empty
-    allowed: frozenset | None
 
     def __len__(self) -> int:
         return self.n
@@ -44,10 +41,7 @@ class ProfileIndex:
     def __getitem__(self, v: int):
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for n={self.n}")
-        idx = self.near.get(v)
-        if idx is None and (self.allowed is None or v in self.allowed):
-            return self.far
-        return idx
+        return self.near.get(v, self.far)
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class ProfileTable:
     pivot: tuple[int, ...]
     radius: int
     entries: tuple[ProfileEntry, ...]
-    vertex_to_profile: ProfileIndex  # vertex -> entry index (None if excluded)
+    vertex_to_profile: ProfileIndex  # vertex -> entry index
 
 
 def profile_of_vertex(g: Graph, pivot, r: int, v: int) -> DistanceProfile:
@@ -86,62 +80,32 @@ def profile_of_set(g: Graph, pivot, r: int, members) -> DistanceProfile:
     return DistanceProfile(r, values)
 
 
-def build_profile_table(g: Graph, pivot, r: int, allowed=None) -> ProfileTable:
-    """One capped BFS per pivot vertex, then deduplication by profile value.
-
-    ``allowed`` restricts both the BFS arena and the set of profiled
-    vertices (used by the pre-core recursion); default is the whole graph.
+def build_profile_table(g: Graph, pivot, r: int) -> ProfileTable:
+    """The profile classes of a :class:`ProfileRefiner` that absorbs the
+    whole pivot set at once, in increasing representative order.
 
     Only the vertices inside some pivot ball are profiled one by one; the
-    rest of the domain shares the all-INF profile and enters as one "far"
+    rest of the graph shares the all-INF profile and enters as one "far"
     class, represented by its lowest id.  The cost is the pivot balls (plus
-    allocating one distance list per pivot), not the domain size.
+    allocating one distance list per pivot), not n.
     """
     pivot = tuple(sorted(set(pivot)))
     for s in pivot:
         if not (0 <= s < g.n):
             raise InputError(f"invalid pivot vertex {s}")
-    if allowed is not None:
-        allowed = frozenset(allowed)
-        if not all(0 <= v < g.n for v in allowed):
-            raise InputError("allowed set has a vertex out of range")
-    dists = []
-    union = set()
+    parts = ProfileRefiner(g, r)
     for s in pivot:
-        dist, reached = bfs_reach(g, s, r, allowed=allowed)
-        dists.append(dist)
-        union.update(reached)
-    vertices = sorted(union)
-    far_count = (g.n if allowed is None else len(allowed)) - len(vertices)
-    far_rep = None
-    if far_count:
-        if allowed is None:  # the first gap in 0, 1, 2, ...
-            far_rep = next((i for i, v in enumerate(vertices) if i != v),
-                           len(vertices))
-        else:
-            far_rep = min(allowed - union)
-        insort(vertices, far_rep)
-    seen = {}
-    entries = []
-    counts = []
-    near = {}
-    for v in vertices:
-        key = tuple(d[v] for d in dists)  # all-INF exactly for far_rep
-        idx = seen.get(key)
-        if idx is None:
-            idx = len(entries)
-            seen[key] = idx
-            entries.append(ProfileEntry(DistanceProfile(r, key), v, 0))
-            counts.append(0)
-        counts[idx] += far_count if v == far_rep else 1
-        near[v] = idx
-    far = None if far_rep is None else near.pop(far_rep)
+        parts.add(s)
+    order = parts.order()
+    pos = {k: i for i, k in enumerate(order)}
     entries = tuple(
-        ProfileEntry(e.profile, e.representative, c)
-        for e, c in zip(entries, counts)
-    )
+        ProfileEntry(DistanceProfile(r, parts.row(parts.rep[k], pivot)),
+                     parts.rep[k],
+                     len(parts.members[k]) if k else parts.far_count)
+        for k in order)
+    near = {v: pos[k] for v, k in parts.class_of.items()}
     return ProfileTable(pivot, r, entries,
-                        ProfileIndex(g.n, near, far, allowed))
+                        ProfileIndex(g.n, near, pos.get(0)))
 
 
 class ProfileRefiner:
@@ -154,9 +118,7 @@ class ProfileRefiner:
     ball.  A new pivot vertex costs one capped BFS and splits only the
     classes its ball meets.  A split class keeps its id for one part and
     the other parts get the next ids, so a caller can carry per-class data
-    from parent to child.  In increasing representative order (``order``)
-    the classes are the entries of ``build_profile_table`` on the same
-    pivot set.
+    from parent to child.
     """
 
     def __init__(self, g: Graph, r: int):
@@ -199,6 +161,11 @@ class ProfileRefiner:
                 self.rep[0] += 1
         return splits
 
+    def row(self, v: int, pivots):
+        """The capped distance from ``v`` to each of ``pivots`` (absorbed
+        vertices), INF beyond the radius."""
+        return tuple(self.balls[s].get(v, INF) for s in pivots)
+
     def order(self):
         """The nonempty class ids in increasing representative order."""
         ids = sorted(range(len(self.rep)), key=self.rep.__getitem__)
@@ -229,6 +196,8 @@ def measure_profile_complexity(
         raise InputError(f"pivot size {m} exceeds vertex count {g.n}")
     if m < 0:
         raise InputError("pivot size must be >= 0")
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     if m == 0 or g.n == 0:
         return ComplexityMeasurement(1 if g.n else 0, True)
     if comb(g.n, m) <= enumeration_budget:

@@ -395,7 +395,7 @@ def independent_set_solve(g: Graph, k: int, r: int,
     return Decision(SOLUTION, tuple(_exchange(g, X, r)))
 
 
-def _close_pairs(g: Graph, members, r: int):
+def close_pairs(g: Graph, members, r: int):
     """The pairs of sorted ``members`` at distance <= r, in the order of
     ``combinations(members, 2)``: one capped BFS per member."""
     out = []
@@ -411,7 +411,7 @@ def _exchange(g: Graph, X, r: int):
     the lowest-id vertex farther than r from the rest.  Each swap must
     strictly shrink the number of vertices in close pairs."""
     guard = len(X) + 1
-    pairs = _close_pairs(g, X, r)
+    pairs = close_pairs(g, X, r)
     while pairs:
         guard -= 1
         if guard < 0:
@@ -426,7 +426,7 @@ def _exchange(g: Graph, X, r: int):
                 "remainder dominates the graph; capture set was not a "
                 "valid capture certificate")
         X = sorted(rest + [near.index(INF)])
-        pairs = _close_pairs(g, X, r)
+        pairs = close_pairs(g, X, r)
         if len({v for pair in pairs for v in pair}) >= before:
             raise InternalInvariantError("exchange loop made no progress")
     return X

@@ -9,13 +9,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progexplore import (INF, DistanceMatrix, ImplicitBipartite,
-                         build_delta, build_eta, candidate_oracle, evaluate,
-                         generate, ladder_solve, semi_ladder_solve)
+from progexplore import (DistanceMatrix, ImplicitBipartite, build_delta,
+                         build_eta, candidate_oracle, evaluate, generate,
+                         ladder_solve, semi_ladder_solve)
 from progexplore import oracles, profiles
 from progexplore.formulas import holds
 from progexplore.profiles import ProfileRefiner, build_profile_table
 from test_oracle_rows import covering_formulas, graphs, product_formulas
+from test_profile_tables import dense_table
 
 
 def scratch_candidate(ib, B):
@@ -100,12 +101,11 @@ def test_incremental_candidate_matches_scratch_reference(data):
         assert candidate_oracle(ib, B) == scratch_candidate(ib, B)
 
 
-# --- the partition equals the profile table ------------------------------------
+# --- the partition equals the dense reference ----------------------------------
 
 def entries_of(refiner):
     pivot = sorted(refiner.balls)
-    return [(tuple(refiner.balls[s].get(refiner.rep[k], INF) for s in pivot),
-             refiner.rep[k],
+    return [(refiner.row(refiner.rep[k], pivot), refiner.rep[k],
              refiner.far_count if k == 0 else len(refiner.members[k]))
             for k in refiner.order()]
 
@@ -114,7 +114,9 @@ def entries_of(refiner):
 @given(st.data())
 def test_refined_classes_are_the_table_entries(data):
     """After every pivot vertex, the classes in representative order are
-    the entries of build_profile_table: profile, representative, count."""
+    the entries of the dense reference table (one profile_of_vertex per
+    vertex): profile, representative, count, and the class of each
+    vertex."""
     g = data.draw(graphs(max_n=12))
     r = data.draw(st.integers(0, 5))
     refiner = ProfileRefiner(g, r)
@@ -122,14 +124,11 @@ def test_refined_classes_are_the_table_entries(data):
     for s in data.draw(st.lists(st.integers(0, g.n - 1), max_size=7)):
         refiner.add(s)
         pivot.add(s)
-        table = build_profile_table(g, pivot, r)
-        assert entries_of(refiner) == [
-            (e.profile.values, e.representative, e.count)
-            for e in table.entries]
+        want, of_vertex = dense_table(g, pivot, r)
+        assert entries_of(refiner) == want
         for v in range(g.n):
             k = refiner.class_of.get(v, 0)
-            assert table.entries[table.vertex_to_profile[v]].representative \
-                == refiner.rep[k]
+            assert want[of_vertex[v]][1] == refiner.rep[k]
 
 
 def test_refiner_runs_one_bfs_per_pivot_vertex(monkeypatch):

@@ -74,3 +74,49 @@ def test_failed_verification_is_internal_error(p4, monkeypatch, capsys):
     assert captured.err == ("internal error: solution failed "
                             "verification\n")
 
+
+
+@pytest.fixture
+def p5(tmp_path):
+    f = tmp_path / "p5.txt"
+    f.write_text(serialize_graph(
+        Graph.from_edges(5, [(i, i + 1) for i in range(4)])))
+    return str(f)
+
+
+def test_recursion_error_is_internal_error(p5, capsys):
+    # the covering search recurses once per multiset slot, so k = 1500
+    # runs past the interpreter's recursion limit
+    code = cli_main(["solve-domset", "--graph", p5, "--k", "1500",
+                     "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError: ")
+    assert "Traceback" not in captured.err
+
+
+def test_unexpected_exception_is_internal_error(p4, monkeypatch, capsys):
+    def broken(ib, max_rounds):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "semi_ladder_solve", broken)
+    code = cli_main(["solve-domset", "--graph", p4, "--k", "1", "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'lost'\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_measure_profiles_without_trials_is_usage_error(tmp_path, capsys,
+                                                         trials):
+    f = tmp_path / "p100.txt"
+    f.write_text(serialize_graph(
+        Graph.from_edges(100, [(i, i + 1) for i in range(99)])))
+    code = cli_main(["measure-profiles", "--graph", str(f), "--r", "1",
+                     "--m", "4", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: trials must be >= 1")

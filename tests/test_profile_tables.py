@@ -1,33 +1,21 @@
 """The sparse profile table against a dense reference that profiles every
-domain vertex one by one."""
+vertex one by one."""
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progexplore import (INF, Graph, InputError, build_profile_table,
-                         generate, profile_of_vertex)
+from progexplore import (INF, Graph, build_profile_table, generate,
+                         profile_of_vertex)
 
 
-def induced(g, vertices):
-    """g[vertices], relabelled 0.. in increasing id (so order is kept)."""
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    edges = [(index[u], index[v]) for u, v in g.edges()
-             if u in index and v in index]
-    return Graph.from_edges(len(index), edges), index
-
-
-def dense_table(g, pivot, r, allowed=None):
+def dense_table(g, pivot, r):
     """(profile values, representative, count) per entry, plus the entry
-    of every domain vertex, from one profile_of_vertex call per vertex."""
-    pivot = sorted(set(pivot))
-    domain = range(g.n) if allowed is None else sorted(allowed)
-    h, index = induced(g, domain)
+    of every vertex, from one profile_of_vertex call per vertex."""
     entries, of_vertex = [], {}
-    for v in domain:
-        values = profile_of_vertex(h, [index[s] for s in pivot], r,
-                                   index[v]).values
+    for v in range(g.n):
+        values = profile_of_vertex(g, pivot, r, v).values
         found = [i for i, e in enumerate(entries) if e[0] == values]
         if found:
             entries[found[0]][2] += 1
@@ -40,47 +28,41 @@ def dense_table(g, pivot, r, allowed=None):
 
 @st.composite
 def table_inputs(draw):
+    """A graph, a pivot list (unsorted, possibly with repeats) and r."""
     n = draw(st.integers(1, 12))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph.from_edges(n, edges)
-    pivot = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    pivot = draw(st.lists(st.integers(0, n - 1), max_size=5))
     r = draw(st.integers(0, 4))
-    allowed = None
-    if draw(st.booleans()):
-        allowed = set(pivot) | set(
-            draw(st.lists(st.integers(0, n - 1), unique=True)))
-    return g, pivot, r, allowed
+    return g, pivot, r
 
 
 @settings(max_examples=300, deadline=None)
 @given(table_inputs())
 def test_sparse_table_matches_dense_reference(case):
-    g, pivot, r, allowed = case
-    table = build_profile_table(g, pivot, r, allowed=allowed)
-    want, of_vertex = dense_table(g, pivot, r, allowed)
+    g, pivot, r = case
+    table = build_profile_table(g, pivot, r)
+    want, of_vertex = dense_table(g, pivot, r)
+    assert table.pivot == tuple(sorted(set(pivot)))
     got = [(e.profile.values, e.representative, e.count)
            for e in table.entries]
     assert got == want
-    domain = set(range(g.n)) if allowed is None else allowed
-    assert sum(e.count for e in table.entries) == len(domain)
+    assert sum(e.count for e in table.entries) == g.n
     # first-occurrence order: representatives rise with the entry index
     reps = [e.representative for e in table.entries]
     assert reps == sorted(reps)
     for v in range(g.n):
-        if v in domain:
-            idx = table.vertex_to_profile[v]
-            assert idx == of_vertex[v]
-            assert table.entries[idx].representative == min(
-                u for u in domain if of_vertex[u] == idx)
-        else:
-            assert table.vertex_to_profile[v] is None
+        idx = table.vertex_to_profile[v]
+        assert idx == of_vertex[v]
+        assert table.entries[idx].representative == min(
+            u for u in range(g.n) if of_vertex[u] == idx)
 
 
 @settings(max_examples=100, deadline=None)
 @given(table_inputs())
 def test_whole_graph_table_matches_profile_of_vertex(case):
-    g, pivot, r, _ = case
+    g, pivot, r = case
     table = build_profile_table(g, pivot, r)
     for v in range(g.n):
         entry = table.entries[table.vertex_to_profile[v]]
@@ -108,16 +90,6 @@ def test_large_grid_far_class_comes_first_when_lowest():
     assert sum(e.count for e in table.entries) == 40_000
 
 
-def test_far_class_inside_allowed():
-    g = generate("path", {"n": 10})
-    table = build_profile_table(g, [5], 1, allowed={3, 4, 5, 6, 9})
-    got = [(e.profile.values, e.representative, e.count)
-           for e in table.entries]
-    assert got == [((INF,), 3, 2), ((1,), 4, 2), ((0,), 5, 1)]
-    assert table.vertex_to_profile[0] is None
-    assert table.vertex_to_profile[9] == 0
-
-
 def test_empty_pivot_is_one_far_class():
     table = build_profile_table(generate("cycle", {"n": 5}), [], 2)
     assert [(e.profile.values, e.representative, e.count)
@@ -129,8 +101,3 @@ def test_index_out_of_range_raises():
     with pytest.raises(IndexError):
         table.vertex_to_profile[3]
 
-
-def test_allowed_out_of_range_rejected():
-    with pytest.raises(InputError):
-        build_profile_table(generate("path", {"n": 3}), [0], 1,
-                            allowed={0, 7})

@@ -124,6 +124,14 @@ def test_complexity_sampled_flag():
     assert res.count <= exact.count
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_complexity_needs_a_trial(trials):
+    # C(100, 4) is past the budget, so this is the sampled path, where no
+    # trial would report count 0 although every vertex has a profile
+    with pytest.raises(InputError):
+        measure_profile_complexity(path(100), 1, 4, trials=trials)
+
+
 def test_complexity_ktt_free_bound():
     # realized r=1 profile count on K_{t,t}-free graphs is bounded by the
     # neighborhood-trace count: subsets of S below size t, plus (t-1)m^t,
