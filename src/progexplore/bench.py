@@ -120,7 +120,8 @@ def _run_one(idx, inst, prob, cross_validate, bound_check, mat_budget):
                 (ref is not None) == (rec.decision == SOLUTION))
         if bound_check and kind == "domset":
             if g.n ** (k + 1) <= mat_budget:
-                h = materialize(g, build_delta(k, r))
+                h = materialize(g, build_delta(k, r),
+                                pair_budget=mat_budget)
                 rec.bound, _ = index_of(h, SEMILADDER)
                 rec.bound_respected = rec.rounds <= rec.bound
     except ResourceBudgetError as exc:

@@ -111,7 +111,8 @@ def index_of(h: BipartiteGraph, kind: str,
     depth reaches an upper bound on it, and skip a move whose child's
     bound cannot beat the depth found so far; only strict improvements
     change the chosen move, so pruning never changes the obstruction.
-    Exceeding the node budget raises, never returns a wrong answer.
+    Exceeding the node budget or the interpreter's recursion limit
+    raises ResourceBudgetError, never returns a wrong answer.
     """
     if kind not in OBSTRUCTION_KINDS:
         raise InputError(f"unknown obstruction kind '{kind}'")
@@ -194,6 +195,13 @@ def index_of(h: BipartiteGraph, kind: str,
     try:
         order, _ = (best(full_l) if kind == SEMILADDER
                     else best(full_l, full_r))
+    except RecursionError:
+        # one level per obstruction step: a deep obstruction runs out of
+        # interpreter stack before it runs out of node budget
+        raise ResourceBudgetError(
+            f"{kind} obstruction search ran past the interpreter's "
+            f"recursion limit ({visits} states visited, memo holds "
+            f"{len(memo)})") from None
     finally:
         # best reaches itself through its closure cell; emptying the cell
         # frees the memo now instead of at the next cyclic gc pass

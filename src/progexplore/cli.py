@@ -306,3 +306,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:  # console-script entry point
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

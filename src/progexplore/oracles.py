@@ -51,7 +51,7 @@ class _CandidateState:
             # class id -> coverage masks per position, or rows per tuple
             self.data = [[0] * f.c if self.by_var else []]
             self.verdicts = {}
-            self.judge = _judge(f)
+            self.judge = _Judge(f)
         for b in B[start:]:
             self._add(b)
 
@@ -102,14 +102,12 @@ def _check_tuple(g: Graph, t, length, what):
             raise InputError(f"invalid vertex {v} in {what} tuple")
 
 
-def _on_pivot(ib: ImplicitBipartite, tuples, length, what):
-    """Check ``tuples``, build the profile table on their vertices and
-    return it with ``rows[t][e][j]`` = capped dist(entry e, tuples[t][j]).
+def _on_pivot(ib: ImplicitBipartite, tuples):
+    """Build the profile table on the vertices of the checked ``tuples``
+    and return it with ``rows[t][e][j]`` = capped dist(entry e, tuples[t][j]).
     Entries ``idxs`` on the candidate side meet tuple t in the matrix
     ``tuple(rows[t][i] for i in idxs)``; on the witness side, in its
     transpose ``tuple(zip(*(rows[t][j] for j in idxs)))``."""
-    for t in tuples:
-        _check_tuple(ib.graph, t, length, what)
     table = build_profile_table(ib.graph, {v for t in tuples for v in t},
                                 ib.formula.radius())
     pos = {v: i for i, v in enumerate(table.pivot)}
@@ -119,16 +117,20 @@ def _on_pivot(ib: ImplicitBipartite, tuples, length, what):
     return table, rows
 
 
-def _judge(f: DistanceFormula):
-    """``evaluate(f, .)`` on matrix rows, memoized for one oracle call."""
-    seen = {}
+class _Judge(dict):
+    """``evaluate(f, .)`` on matrix rows, memoized while the instance
+    lives: calling it looks the rows up and evaluates them on a miss."""
 
-    def judge(rows):
-        if rows not in seen:
-            seen[rows] = evaluate(f, DistanceMatrix(f.radius(), rows))
-        return seen[rows]
+    def __init__(self, f: DistanceFormula):
+        super().__init__()
+        self.f = f
 
-    return judge
+    def __missing__(self, rows):
+        held = self[rows] = evaluate(self.f,
+                                     DistanceMatrix(self.f.radius(), rows))
+        return held
+
+    __call__ = dict.__getitem__
 
 
 def _single_variable_children(f: DistanceFormula):
@@ -175,38 +177,44 @@ def candidate_oracle(ib: ImplicitBipartite, B):
 
 def _covering_assignment(coverage, full):
     """Lex-first profile assignment whose per-position witness coverage
-    masks (``coverage[i][e]``) union to ``full``.  Memoizes failed
-    (position, still-needed mask) pairs and prunes with suffix-reachable
-    unions."""
+    masks (``coverage[i][e]``) union to ``full``; None if there is none.
+    A depth-first loop over (position, still-needed mask) states.  Before
+    it enters a state it checks it once: pruned if the mask lies outside
+    the union reachable from the position, skipped if it already failed."""
     c = len(coverage)
-    n_profiles = len(coverage[0])
-    suffix_union = [0] * (c + 1)
+    reach = [0] * (c + 1)  # reach[i]: union of every mask at positions >= i
     for i in range(c - 1, -1, -1):
-        acc = 0
+        reach[i] = reach[i + 1]
         for m in coverage[i]:
-            acc |= m
-        suffix_union[i] = suffix_union[i + 1] | acc
-    failed = set()
-
-    def dfs(i, needed, prefix):
-        if i == c:
-            return prefix if needed == 0 else None
-        if needed & ~suffix_union[i]:
-            return None
-        key = (i, needed)
-        if key in failed:
-            return None
-        for e in range(n_profiles):
-            got = dfs(i + 1, needed & ~coverage[i][e], prefix + (e,))
-            if got is not None:
-                return got
-        failed.add(key)
+            reach[i] |= m
+    if full & ~reach[0]:
         return None
-
-    try:
-        return dfs(0, full, ())
-    finally:
-        del dfs  # dfs reaches itself through its closure cell
+    failed = set()
+    chosen: list = []
+    needs = [full]  # needs[i]: what chosen[:i] leaves uncovered
+    nxt = [0]  # nxt[i]: the next entry to try at position i
+    while nxt:
+        i = len(chosen)
+        if i == c:  # entered only with nothing left to cover
+            return tuple(chosen)
+        needed, row, outside, e = needs[i], coverage[i], ~reach[i + 1], nxt[i]
+        while e < len(row):
+            rest = needed & ~row[e]
+            e += 1
+            if not rest & outside and (i + 1, rest) not in failed:
+                break
+        else:
+            failed.add((i, needed))
+            nxt.pop()
+            needs.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        nxt[i] = e
+        chosen.append(e - 1)
+        needs.append(rest)
+        nxt.append(0)
+    return None
 
 
 def _defeats(ib: ImplicitBipartite, A):
@@ -214,8 +222,10 @@ def _defeats(ib: ImplicitBipartite, A):
     disagrees with some candidate tuple in A: the bitmask over A of the
     candidates it disagrees with, and its representative witness tuple."""
     f = ib.formula
-    table, rows = _on_pivot(ib, A, f.c, "candidate")
-    judge = _judge(f)
+    for a in A:
+        _check_tuple(ib.graph, a, f.c, "candidate")
+    table, rows = _on_pivot(ib, A)
+    judge = _Judge(f)
     for idxs in product(range(len(table.entries)), repeat=f.d):
         mask = 0
         for ai, ra in enumerate(rows):
@@ -240,30 +250,13 @@ def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
     if p < 1:
         raise InputError("need p >= 1")
     options = list(_defeats(ib, A))  # (disagreement mask, witness tuple)
-    full = (1 << len(A)) - 1
-    suffix = [0] * (len(options) + 1)
-    for i in range(len(options) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | options[i][0]
-    if suffix[0] != full:
+    # every position offers the same options, so the lex-first cover is
+    # non-decreasing; its trailing repeats of the last pick add nothing
+    picks = _covering_assignment([[mask for mask, _ in options]] * p,
+                                 (1 << len(A)) - 1)
+    if picks is None:
         return None
-
-    # multisets: indices non-decreasing, so no p!-fold duplication
-    def dfs(start, hit, chosen):
-        if hit == full:
-            return chosen
-        if len(chosen) == p or hit | suffix[start] != full:
-            return None
-        for i in range(start, len(options)):
-            got = dfs(i, hit | options[i][0], chosen + (options[i][1],))
-            if got is not None:
-                return got
-        return None
-
-    try:
-        picked = dfs(0, 0, ())
-    finally:
-        del dfs  # dfs reaches itself through its closure cell
-    return None if picked is None else list(picked)
+    return [options[i][1] for i in picks[:picks.index(picks[-1]) + 1]]
 
 
 def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
@@ -277,11 +270,11 @@ def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
     for b in B:
         _check_tuple(g, b, f.d, "witness")
     taken = set(map(tuple, B))
-    judge = _judge(f)
+    judge = _Judge(f)
     for b_new in product(range(g.n), repeat=f.d):
         if b_new in taken:
             continue
-        table, (r_new, *rows) = _on_pivot(ib, (b_new, *B), f.d, "witness")
+        table, (r_new, *rows) = _on_pivot(ib, (b_new, *B))
         for idxs in product(range(len(table.entries)), repeat=f.c):
             if (not judge(tuple(r_new[i] for i in idxs))
                     and all(judge(tuple(rb[i] for i in idxs))

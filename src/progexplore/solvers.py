@@ -116,6 +116,8 @@ def coverage_core(ib: ImplicitBipartite, max_rounds: int = 10 ** 6):
     """Witness set B such that any candidate agreeing with all of B agrees
     with every witness tuple.  Grows B through the extension oracle until it
     reports that no further disagreement outside B is reachable."""
+    if max_rounds < 1:
+        raise InputError("max_rounds must be >= 1")
     B: list = []
     rounds = 0
     while True:

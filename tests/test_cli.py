@@ -1,14 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import progexplore
 from progexplore import (TIMING_COLUMNS, bfs_capped, build_delta, cli_main,
                          generate, records_to_csv, run_bench,
                          serialize_bipartite, serialize_formula,
                          serialize_graph)
-from progexplore.bipartite import BipartiteGraph
+from progexplore import bench
+from progexplore.bipartite import BipartiteGraph, materialize
 from progexplore.cli import _verify_dominating
 from progexplore.graph import Graph
 
@@ -253,6 +259,22 @@ def test_bench_cli_roundtrip(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 5
 
 
+def test_bench_bound_check_passes_its_budget_to_materialize(monkeypatch):
+    seen = []
+
+    def recording(g, f, **kwargs):
+        seen.append(kwargs.get("pair_budget"))
+        return materialize(g, f, **kwargs)
+
+    monkeypatch.setattr(bench, "materialize", recording)
+    records = run_bench({
+        "instances": [{"family": "path", "params": {"n": 4}}],
+        "problems": [{"kind": "domset", "k": 1, "r": 1}],
+        "bound_check": True, "materialize_budget": 2_000_000})
+    assert seen == [2_000_000]
+    assert records[0].error == "" and records[0].bound_respected is True
+
+
 def test_bench_csv_to_stdout(tmp_path, capsys):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"instances": [{"family": "path",
@@ -263,3 +285,18 @@ def test_bench_csv_to_stdout(tmp_path, capsys):
     assert code == 0
     assert re.match(r"instance_id,", out)
     assert "SOLUTION" in out
+
+
+@pytest.mark.parametrize("module", ["progexplore", "progexplore.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(progexplore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "generate", "--family", "path",
+         "--params", '{"n": 4}'],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith('{"schema": "pe/1"')
+    assert json.loads(done.stdout)["n"] == 4
+    assert "4 3\n0 1\n1 2\n2 3\n" in done.stderr

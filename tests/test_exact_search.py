@@ -4,7 +4,9 @@ independent-set verifier's BFS count, and the names the traced benchmark
 wraps."""
 import gc
 import importlib.util
+import inspect
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progexplore import (COMATCHING, LADDER, OBSTRUCTION_KINDS,
+from progexplore import (COMATCHING, LADDER, OBSTRUCTION_KINDS, SEMILADDER,
                          BipartiteGraph, HellyResult, ResourceBudgetError,
                          bfs_capped, check_p_helly, cli, generate, index_of,
                          solvers)
@@ -170,6 +172,24 @@ def test_budget_error_says_how_far_it_got():
     assert "comatching" in message
     assert "budget of 3 states" in message
     assert "3 visited" in message and "memo holds 0" in message
+
+
+@pytest.mark.parametrize("kind", (LADDER, SEMILADDER))
+def test_recursion_limit_is_a_budget_error(kind):
+    # edge iff i > j: both searches descend one level per obstruction step
+    h = BipartiteGraph.from_edges(
+        200, 200, [(i, j) for i in range(200) for j in range(i)])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        with pytest.raises(ResourceBudgetError) as err:
+            index_of(h, kind)
+    finally:
+        sys.setrecursionlimit(saved)
+    message = str(err.value)
+    assert message.startswith(f"{kind} obstruction search ran past the "
+                              "interpreter's recursion limit (")
+    assert " states visited, memo holds " in message
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Exit codes of the CLI and the per-cell error contract of the bench grid:
 malformed input exits 2, a broken internal invariant exits 4, and a bad grid
 cell is recorded as ERROR while the rest of the grid still runs."""
+import json
+
 import pytest
 
 from progexplore import (SOLUTION, Decision, Graph, RunTranscript, cli_main,
@@ -84,16 +86,17 @@ def p5(tmp_path):
     return str(f)
 
 
-def test_recursion_error_is_internal_error(p5, capsys):
-    # the covering search recurses once per multiset slot, so k = 1500
-    # runs past the interpreter's recursion limit
-    code = cli_main(["solve-domset", "--graph", p5, "--k", "1500",
-                     "--r", "1"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_INTERNAL
-    assert captured.out == ""
-    assert captured.err.startswith("internal error: RecursionError: ")
-    assert "Traceback" not in captured.err
+def test_large_k_is_solved_without_recursion(p5, capsys):
+    # the covering search visits one position per candidate variable, and
+    # k = 1500 or 5000 is past the interpreter's default recursion limit
+    for k in ("1500", "5000"):
+        code = cli_main(["solve-domset", "--graph", p5, "--k", k,
+                         "--r", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["decision"] == SOLUTION and out["verified"] is True
 
 
 def test_unexpected_exception_is_internal_error(p4, monkeypatch, capsys):

@@ -168,6 +168,12 @@ def test_core_budget_guard():
         coverage_core(ib, max_rounds=1)
 
 
+def test_core_rejects_zero_rounds():
+    ib = ImplicitBipartite(path(6), build_delta(1, 1))
+    with pytest.raises(InputError, match="max_rounds must be >= 1"):
+        coverage_core(ib, max_rounds=0)
+
+
 # --- greedy dichotomy ---------------------------------------------------------
 
 def test_greedy_empty_input():
