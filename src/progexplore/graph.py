@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import InputError, InternalInvariantError, ParseError
 
@@ -388,17 +390,41 @@ def _gen_tree(params, rng):
     if n < 1:
         raise InputError("tree needs n >= 1")
     depth = [0] * n
+    # The vertices that may still take a child, in id order: ``choice``
+    # reads only length and indexing, so this picks the parent that the
+    # filtered ``range(v)`` would.
+    eligible = [0] if max_depth is None or max_depth > 0 else []
     edges = []
     for v in range(1, n):
-        choices = range(v)
-        if max_depth is not None:
-            choices = [u for u in choices if depth[u] < max_depth]
-            if not choices:
-                raise InputError("max_depth too small for requested n")
-        parent = rng.choice(choices)
+        if not eligible:
+            raise InputError("max_depth too small for requested n")
+        parent = rng.choice(eligible)
         depth[v] = depth[parent] + 1
+        if max_depth is None or depth[v] < max_depth:
+            eligible.append(v)
         edges.append((parent, v))
     return Graph.from_edges(n, edges)
+
+
+def _shuffled_pairs(n, rng):
+    """Yield the pairs of ``combinations(range(n), 2)`` in the order that
+    ``rng.shuffle`` gives their list.
+
+    ``shuffle`` draws its swaps from the length alone, so shuffling an
+    array of pair indices gives the same permutation in 4 bytes a pair
+    (8 past 2**32 pairs) instead of a tuple and a list slot.
+    """
+    if n < 0:
+        raise InputError(f"negative vertex count {n}")
+    total = n * (n - 1) // 2
+    order = array("I" if total <= 1 << 8 * array("I").itemsize else "Q",
+                  range(total))
+    rng.shuffle(order)
+    # starts[u] is the index of the pair (u, u + 1).
+    starts = list(accumulate(range(n - 1, 1, -1), initial=0))
+    for i in order:
+        u = bisect_right(starts, i) - 1
+        yield u, u + 1 + i - starts[u]
 
 
 def _gen_bounded_degree_random(params, rng):
@@ -406,11 +432,11 @@ def _gen_bounded_degree_random(params, rng):
     target = _optional_integer(params, "m", n)
     if max_degree < 0:
         raise InputError("max_degree must be >= 0")
-    candidates = list(combinations(range(n), 2))
-    rng.shuffle(candidates)
+    if target < 0 <= n:  # _shuffled_pairs rejects a negative n
+        raise InputError("m must be >= 0")
     deg = [0] * n
     edges = []
-    for u, v in candidates:
+    for u, v in _shuffled_pairs(n, rng):
         if len(edges) >= target:
             break
         if deg[u] < max_degree and deg[v] < max_degree:
@@ -431,11 +457,11 @@ def _gen_complete_bipartite(params, rng):
 def _gen_ktt_free_random(params, rng):
     n, t = _integers(params, "n", "t")
     target = _optional_integer(params, "m", 2 * n)
-    candidates = list(combinations(range(n), 2))
-    rng.shuffle(candidates)
+    if target < 0 <= n:  # _shuffled_pairs rejects a negative n
+        raise InputError("m must be >= 0")
     adj = [[] for _ in range(n)]
     edges = []
-    for u, v in candidates:
+    for u, v in _shuffled_pairs(n, rng):
         if len(edges) >= target:
             break
         adj[u].append(v)
