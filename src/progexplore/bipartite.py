@@ -105,17 +105,46 @@ def index_of(h: BipartiteGraph, kind: str,
              node_budget: int = 2_000_000) -> tuple:
     """Exact maximum obstruction order plus a witnessing obstruction.
 
+    Twins (left vertices with equal rows, right vertices with equal
+    columns) are searched once: an obstruction's rows and columns are
+    pairwise distinct, so it never uses two twins.  The search runs on the
+    graph of the lowest-index vertex of each twin class and maps the
+    obstruction back, which is the obstruction the search over all of
+    ``h`` picks, since a twin gives the same children as the lower twin
+    scanned before it.
+
     Exhaustive search over extension states; states are memoized on the
     pools of still-usable vertices, which fully determine the remaining
     depth.  Ladder and co-matching states stop scanning moves once their
     depth reaches an upper bound on it, and skip a move whose child's
     bound cannot beat the depth found so far; only strict improvements
     change the chosen move, so pruning never changes the obstruction.
-    Exceeding the node budget or the interpreter's recursion limit
-    raises ResourceBudgetError, never returns a wrong answer.
+    ``node_budget`` counts the states of the search on the twin classes.
+    Exceeding it or the interpreter's recursion limit raises
+    ResourceBudgetError, never returns a wrong answer.
     """
     if kind not in OBSTRUCTION_KINDS:
         raise InputError(f"unknown obstruction kind '{kind}'")
+    left_reps = _class_representatives(h.left_adj)
+    right_reps = _class_representatives(h.right_adj())
+    classes = BipartiteGraph(len(left_reps), len(right_reps), tuple(
+        sum(1 << j for j, b in enumerate(right_reps) if h.left_adj[a] >> b & 1)
+        for a in left_reps))
+    order, a_seq, b_seq = _search(classes, kind, node_budget)
+    return order, Obstruction(kind, tuple(left_reps[a] for a in a_seq),
+                              tuple(right_reps[b] for b in b_seq))
+
+
+def _class_representatives(masks) -> list:
+    """The lowest index holding each distinct mask, in increasing order."""
+    first = {}
+    for i, mask in enumerate(masks):
+        first.setdefault(mask, i)
+    return list(first.values())
+
+
+def _search(h: BipartiteGraph, kind: str, node_budget: int) -> tuple:
+    """index_of's search on ``h`` itself: the order and the two sequences."""
     full_l = (1 << h.left_size) - 1
     full_r = (1 << h.right_size) - 1
     radj = h.right_adj()
@@ -218,7 +247,7 @@ def index_of(h: BipartiteGraph, kind: str,
         a_seq.append(a)
         b_seq.append(b)
         a_pool &= radj[b]
-    return order, Obstruction(kind, tuple(a_seq), tuple(b_seq))
+    return order, a_seq, b_seq
 
 
 # --- Helly-property checks --------------------------------------------------
@@ -384,7 +413,11 @@ def find_monochromatic(n: int, c: int, coloring, ell: int):
 def materialize(g: Graph, f: DistanceFormula,
                 pair_budget: int = 1_000_000) -> BipartiteGraph:
     """Explicit bipartite graph: left = candidate tuples (lexicographic),
-    right = witness tuples, edge iff the formula holds on the pair."""
+    right = witness tuples, edge iff the formula holds on the pair.
+
+    A pair's verdict depends only on its matrix of capped distances, so
+    each distinct matrix is evaluated once per call; the pair budget is
+    checked before any BFS runs."""
     n = g.n
     pairs = n ** (f.c + f.d)
     if pairs > pair_budget:
@@ -392,18 +425,21 @@ def materialize(g: Graph, f: DistanceFormula,
             f"{pairs} candidate/witness pairs exceed budget {pair_budget}")
     r = f.radius()
     dist = [bfs_capped(g, v, r) for v in range(n)]
-    left = list(product(range(n), repeat=f.c))
     right = list(product(range(n), repeat=f.d))
+    verdicts = {}
     adj = []
-    for a in left:
+    for a in product(range(n), repeat=f.c):
+        a_rows = [dist[ai] for ai in a]
         mask = 0
         for idx, b in enumerate(right):
-            m = DistanceMatrix(r, tuple(
-                tuple(dist[ai][bj] for bj in b) for ai in a))
-            if evaluate(f, m):
+            rows = tuple(tuple(row[bj] for bj in b) for row in a_rows)
+            holds = verdicts.get(rows)
+            if holds is None:
+                holds = verdicts[rows] = evaluate(f, DistanceMatrix(r, rows))
+            if holds:
                 mask |= 1 << idx
         adj.append(mask)
-    return BipartiteGraph(len(left), len(right), tuple(adj))
+    return BipartiteGraph(len(adj), len(right), tuple(adj))
 
 
 def tuple_index(n: int, vertex_tuple) -> int:

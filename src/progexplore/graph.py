@@ -457,22 +457,29 @@ def _gen_complete_bipartite(params, rng):
 def _gen_ktt_free_random(params, rng):
     n, t = _integers(params, "n", "t")
     target = _optional_integer(params, "m", 2 * n)
+    if t < 1:
+        raise InputError(f"t must be >= 1, got {t}")
     if target < 0 <= n:  # _shuffled_pairs rejects a negative n
         raise InputError("m must be >= 0")
-    adj = [[] for _ in range(n)]
+    nbrs = [set() for _ in range(n)]
     edges = []
     for u, v in _shuffled_pairs(n, rng):
         if len(edges) >= target:
             break
-        adj[u].append(v)
-        adj[v].append(u)
-        trial = _from_adjacency(adj)
-        if has_ktt(trial, t):
-            adj[u].remove(v)
-            adj[v].remove(u)
-        else:
+        if not _closes_ktt(nbrs, u, v, t):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
             edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+def _closes_ktt(nbrs, u, v, t) -> bool:
+    """Whether the new edge uv gives the K_{t,t}-free graph ``nbrs`` a
+    K_{t,t}.  Any new one holds uv: u and t - 1 other neighbours of v on
+    one side, v and t - 1 other common neighbours of those t on the other
+    (a vertex is never its own neighbour, so the sides are disjoint)."""
+    return any(len(nbrs[u].intersection(*(nbrs[w] for w in rest))) >= t - 1
+               for rest in combinations(nbrs[v], t - 1))
 
 
 def _gen_power_of(params, rng):

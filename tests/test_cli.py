@@ -166,6 +166,27 @@ def test_measure_indices_ladder4(tmp_path, capsys):
     assert len(data["ladder_witness"]["a"]) == 4
 
 
+def test_measure_indices_names_the_lowest_twins(tmp_path, capsys):
+    # rows and columns of a 5 x 4 graph, repeated and shuffled: left 0 and
+    # 4, 1 and 6, 3 and 7, 5 and 8 are twins, and so are right 0 and 3, 1
+    # and 5, 2 and 6; the witnesses name the lower twin of each
+    base = (0b0000, 0b0001, 0b0011, 0b0111, 0b1101)
+    rows, cols = (2, 4, 0, 3, 2, 1, 4, 3, 1), (1, 3, 0, 1, 2, 3, 0)
+    h = BipartiteGraph(len(rows), len(cols), tuple(
+        sum(1 << j for j, c in enumerate(cols) if base[i] >> c & 1)
+        for i in rows))
+    f = tmp_path / "twins.txt"
+    f.write_text(serialize_bipartite(h))
+    code, out = run(capsys, "measure-indices", "--bipartite", str(f))
+    assert code == 0
+    assert payload(out) == {
+        "schema": "pe/1", "command": "measure-indices", "left": 9, "right": 7,
+        "comatching": 2, "comatching_witness": {"a": [0, 1], "b": [1, 0]},
+        "ladder": 4, "ladder_witness": {"a": [2, 5, 0, 3], "b": [2, 0, 4, 1]},
+        "semiladder": 4,
+        "semiladder_witness": {"a": [2, 1, 0, 3], "b": [2, 0, 4, 1]}}
+
+
 def test_measure_profiles_cmd(p4, capsys):
     code, out = run(capsys, "measure-profiles", "--graph", p4,
                     "--r", "1", "--m", "2")

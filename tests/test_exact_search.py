@@ -1,13 +1,13 @@
-"""The pruned obstruction search and the early-exit Helly checks against the
-unpruned code they replace, the lifetime of the search's memo, the
-independent-set verifier's BFS count, and the names the traced benchmark
-wraps."""
+"""The pruned obstruction search, its run on twin classes, the early-exit
+Helly checks and the once-per-matrix materialization against the code they
+replace, the lifetime of the search's memo, the independent-set verifier's
+BFS count, and the names the traced benchmark wraps."""
 import gc
 import importlib.util
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progexplore import (COMATCHING, LADDER, OBSTRUCTION_KINDS, SEMILADDER,
-                         BipartiteGraph, HellyResult, ResourceBudgetError,
-                         bfs_capped, check_p_helly, cli, generate, index_of,
-                         solvers)
+                         BipartiteGraph, DistanceFormula, HellyResult,
+                         Obstruction, ResourceBudgetError, bfs_capped,
+                         bipartite, build_delta, build_eta, check_p_helly,
+                         cli, generate, index_of, materialize, solvers)
+from progexplore.formulas import And, Atom, DistanceMatrix, Not, Or, evaluate
+from progexplore.graph import INF, Graph
 
 # --- references: the unpruned code ------------------------------------------
 
@@ -64,6 +67,96 @@ def unpruned_index(h, kind):
         b_seq.append(b)
         a_pool, b_pool = a_pool & radj[b], child_b(b_pool, a)
     return order, tuple(a_seq), tuple(b_seq), len(memo)
+
+
+def uncollapsed_index(h, kind):
+    """The pruned search over every vertex of ``h``, twins included; returns
+    ``index_of``'s answer and the number of states it visited."""
+    full_l = (1 << h.left_size) - 1
+    full_r = (1 << h.right_size) - 1
+    radj = h.right_adj()
+    memo = {}
+
+    if kind == SEMILADDER:
+        def best(a_pool):
+            if a_pool in memo:
+                return memo[a_pool]
+            depth, choice = 0, None
+            for b in range(h.right_size):
+                if a_pool & ~radj[b] & full_l:
+                    sub, _ = best(a_pool & radj[b])
+                    if sub + 1 > depth:
+                        depth, choice = sub + 1, b
+            memo[a_pool] = (depth, choice)
+            return depth, choice
+    else:
+        non_adj = [full_r & ~mask for mask in h.left_adj]
+        keep = non_adj if kind == LADDER else h.left_adj
+
+        def best(a_pool, b_pool):
+            key = (a_pool, b_pool)
+            if key in memo:
+                return memo[key]
+            moves, usable_b = [], 0
+            for a in _bits(a_pool):
+                bs = b_pool & non_adj[a]
+                if bs:
+                    moves.append((a, bs))
+                    usable_b |= bs
+            cap = min(len(moves), usable_b.bit_count())
+            depth, choice = 0, None
+            for a, bs in moves:
+                if depth == cap:
+                    break
+                child_b = b_pool & keep[a]
+                if child_b.bit_count() < depth:
+                    continue
+                for b in _bits(bs):
+                    child_a = a_pool & radj[b]
+                    if child_a.bit_count() < depth:
+                        continue
+                    sub, _ = best(child_a, child_b)
+                    if sub + 1 > depth:
+                        depth, choice = sub + 1, (a, b)
+                        if depth == cap:
+                            break
+            memo[key] = (depth, choice)
+            return depth, choice
+
+    order, _ = best(full_l) if kind == SEMILADDER else best(full_l, full_r)
+    a_seq, b_seq = [], []
+    a_pool, b_pool = full_l, full_r
+    for _ in range(order):
+        if kind == SEMILADDER:
+            _, b = memo[a_pool]
+            a = next(_bits(a_pool & ~radj[b]))
+        else:
+            _, (a, b) = memo[(a_pool, b_pool)]
+            b_pool &= keep[a]
+        a_seq.append(a)
+        b_seq.append(b)
+        a_pool &= radj[b]
+    obstruction = Obstruction(kind, tuple(a_seq), tuple(b_seq))
+    return (order, obstruction), len(memo)
+
+
+def per_pair_materialize(g, f):
+    """One evaluate call per candidate/witness pair; also returns the set of
+    distinct matrices it evaluated."""
+    r = f.radius()
+    dist = [bfs_capped(g, v, r) for v in range(g.n)]
+    left = list(product(range(g.n), repeat=f.c))
+    right = list(product(range(g.n), repeat=f.d))
+    adj, matrices = [], set()
+    for a in left:
+        mask = 0
+        for idx, b in enumerate(right):
+            rows = tuple(tuple(dist[ai][bj] for bj in b) for ai in a)
+            matrices.add(rows)
+            if evaluate(f, DistanceMatrix(r, rows)):
+                mask |= 1 << idx
+        adj.append(mask)
+    return BipartiteGraph(len(left), len(right), tuple(adj)), matrices
 
 
 def two_pass_helly(h, p, variant):
@@ -161,6 +254,56 @@ def test_budget_fires_no_earlier_than_unpruned(h, kind):
     # the pruned search visits a subset of the unpruned search's states
     order, _, _, visited = unpruned_index(h, kind)
     assert index_of(h, kind, node_budget=visited)[0] == order
+
+
+# --- the search on twin classes ----------------------------------------------
+
+
+@st.composite
+def twin_graphs(draw):
+    """A small graph whose rows and columns are repeated and shuffled."""
+    base = draw(bipartite_graphs(5, 5))
+    rows = draw(st.lists(st.integers(0, base.left_size - 1), max_size=10)
+                if base.left_size else st.just([]))
+    cols = draw(st.lists(st.integers(0, base.right_size - 1), max_size=10)
+                if base.right_size else st.just([]))
+    return BipartiteGraph(len(rows), len(cols), tuple(
+        sum(1 << j for j, c in enumerate(cols) if base.left_adj[i] >> c & 1)
+        for i in rows))
+
+
+def assert_same_as_uncollapsed(h, kind):
+    want, visited = uncollapsed_index(h, kind)
+    assert index_of(h, kind) == want
+    # the twin-class search visits no more states than the search over all
+    # of h, so a budget that lets the old search finish lets it finish too
+    assert index_of(h, kind, node_budget=visited) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_graphs(), st.sampled_from(OBSTRUCTION_KINDS))
+def test_twin_class_search_equals_uncollapsed(h, kind):
+    assert_same_as_uncollapsed(h, kind)
+
+
+def exact_indices_graphs():
+    """The four materialized graphs of the exact-indices benchmark, with the
+    tree of both of its seeds."""
+    yield materialize(generate("cycle", {"n": 8}), build_delta(3, 1))
+    yield materialize(generate("cycle", {"n": 10}), build_eta(2, 1))
+    yield materialize(generate("grid", {"rows": 3, "cols": 3}),
+                      build_delta(2, 1))
+    for seed in (1, 2):
+        yield materialize(generate("tree", {"n": 8}, seed=seed),
+                          build_delta(3, 1))
+
+
+@pytest.mark.parametrize("kind", OBSTRUCTION_KINDS)
+def test_twin_class_search_on_materialized_graphs(kind):
+    for h in exact_indices_graphs():
+        distinct_rows = len(set(h.left_adj))
+        assert distinct_rows < h.left_size  # there are twins to collapse
+        assert_same_as_uncollapsed(h, kind)
 
 
 def test_budget_error_says_how_far_it_got():
@@ -273,6 +416,56 @@ def test_helly_equals_two_pass_scan_16x16(seed, variant):
             if p >= 0:
                 assert check_p_helly(h, p, variant) == \
                     two_pass_helly(h, p, variant)
+
+
+# --- materialization, one evaluate call per distinct matrix ------------------
+
+HAND_BUILT = DistanceFormula(2, 1, And((
+    Not(Atom(1, 0, 0)),
+    Or((Atom(2, 1, 0), Not(And((Atom(0, 0, 0), Atom(3, 1, 0)))))))))
+
+MATERIALIZE_CASES = (
+    (generate("path", {"n": 5}), build_delta(2, 1)),
+    (generate("cycle", {"n": 6}), build_eta(2, 1)),
+    (generate("grid", {"rows": 2, "cols": 3}), build_eta(3, 2)),
+    (generate("star", {"n": 5}), HAND_BUILT),
+    (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), build_delta(2, 1)),
+    (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]), build_eta(2, 2)),
+    (Graph.from_edges(5, [(0, 1), (2, 3)]), HAND_BUILT),
+    (Graph.from_edges(1, []), build_delta(1, 0)),
+)
+
+
+@pytest.mark.parametrize("g, f", MATERIALIZE_CASES)
+def test_materialize_equals_per_pair_evaluation(monkeypatch, g, f):
+    want, matrices = per_pair_materialize(g, f)
+    calls = []
+
+    def counted(formula, matrix):
+        calls.append(matrix.rows)
+        return evaluate(formula, matrix)
+
+    monkeypatch.setattr(bipartite, "evaluate", counted)
+    assert materialize(g, f) == want
+    assert sorted(calls, key=repr) == sorted(matrices, key=repr)
+
+
+def test_materialize_sees_unreachable_pairs():
+    g, f = MATERIALIZE_CASES[4]
+    _, matrices = per_pair_materialize(g, f)
+    assert any(INF in row for rows in matrices for row in rows)
+
+
+def test_materialize_budget_fires_before_any_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("materialize ran a BFS past its pair budget")
+
+    monkeypatch.setattr(bipartite, "bfs_capped", no_bfs)
+    with pytest.raises(ResourceBudgetError) as err:
+        materialize(generate("path", {"n": 40}), build_delta(3, 1),
+                    pair_budget=1000)
+    assert str(err.value) == \
+        "2560000 candidate/witness pairs exceed budget 1000"
 
 
 # --- the independent-set verifier --------------------------------------------

