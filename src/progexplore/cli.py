@@ -59,14 +59,14 @@ def _verify_independent(g, solution, r) -> bool:
 
 
 def _verify_formula_solution(g, f, a) -> bool:
+    """Whether ``a`` agrees with every witness tuple.  A witness vertex
+    enters the matrix only through its column of distances to ``a``, so
+    each tuple of distinct columns, one distinct matrix, is judged once."""
     r = f.radius()
     dists = [bfs_capped(g, v, r) for v in a]
-    for b in product(range(g.n), repeat=f.d):
-        m = DistanceMatrix(r, tuple(
-            tuple(dists[i][bj] for bj in b) for i in range(f.c)))
-        if not evaluate(f, m):
-            return False
-    return True
+    columns = dict.fromkeys(tuple(d[v] for d in dists) for v in range(g.n))
+    return all(evaluate(f, DistanceMatrix(r, tuple(zip(*cols))))
+               for cols in product(columns, repeat=f.d))
 
 
 def _cmd_solve_domset(args) -> int:

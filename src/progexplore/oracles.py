@@ -5,18 +5,24 @@ agreement from profiles on a pivot set made of the vertices mentioned by
 the inputs (sound because distance formulas only read pairwise
 candidate/witness distances, all of which end at pivot vertices).  The
 candidate oracle refines one profile partition per implicit graph as its
-witness list grows; the other oracles build one profile table per call.
+witness list grows.  The witness oracles run one capped BFS per vertex of
+their candidates and scan the union of those balls in vertex order, which
+yields the profile classes in table order without building a table.  The
+extension oracle builds one table on B per call and refines it by each
+new witness tuple's balls in the same scan.  One evaluation memo per
+implicit graph serves all four oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 from .errors import InputError, ResourceBudgetError
 from .formulas import (Atom, DistanceFormula, DistanceMatrix, Or, evaluate,
                        holds, walk)
-from .graph import Graph
-from .profiles import ProfileRefiner, build_profile_table
+from .graph import INF, Graph, bfs_reach
+from .profiles import (ProfileRefiner, build_profile_table,
+                       first_of_each_class)
 
 
 class _CandidateState:
@@ -51,7 +57,6 @@ class _CandidateState:
             # class id -> coverage masks per position, or rows per tuple
             self.data = [[0] * f.c if self.by_var else []]
             self.verdicts = {}
-            self.judge = _Judge(f)
         for b in B[start:]:
             self._add(b)
 
@@ -84,14 +89,18 @@ class _CandidateState:
 @dataclass(frozen=True)
 class ImplicitBipartite:
     """Candidates and witnesses of ``formula`` over ``graph``.  It also
-    carries the candidate oracle's state, so one instance serves one
-    thread at a time."""
+    carries the candidate oracle's state and the evaluation memo of all
+    four oracles, so one instance serves one thread at a time."""
 
     graph: Graph
     formula: DistanceFormula
     _candidates: _CandidateState = field(
         default_factory=_CandidateState, init=False, compare=False,
         repr=False)
+    _judge: _Judge = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_judge", _Judge(self.formula))
 
 
 def _check_tuple(g: Graph, t, length, what):
@@ -102,24 +111,11 @@ def _check_tuple(g: Graph, t, length, what):
             raise InputError(f"invalid vertex {v} in {what} tuple")
 
 
-def _on_pivot(ib: ImplicitBipartite, tuples):
-    """Build the profile table on the vertices of the checked ``tuples``
-    and return it with ``rows[t][e][j]`` = capped dist(entry e, tuples[t][j]).
-    Entries ``idxs`` on the candidate side meet tuple t in the matrix
-    ``tuple(rows[t][i] for i in idxs)``; on the witness side, in its
-    transpose ``tuple(zip(*(rows[t][j] for j in idxs)))``."""
-    table = build_profile_table(ib.graph, {v for t in tuples for v in t},
-                                ib.formula.radius())
-    pos = {v: i for i, v in enumerate(table.pivot)}
-    values = [e.profile.values for e in table.entries]
-    rows = [[tuple(vals[pos[v]] for v in t) for vals in values]
-            for t in tuples]
-    return table, rows
-
-
 class _Judge(dict):
-    """``evaluate(f, .)`` on matrix rows, memoized while the instance
-    lives: calling it looks the rows up and evaluates them on a miss."""
+    """``evaluate(f, .)`` on matrix rows, memoized while the implicit graph
+    lives: calling it looks the rows up and evaluates them on a miss.  The
+    rows are indexed by candidate variable, each a tuple over the witness
+    variables, whichever oracle builds them."""
 
     def __init__(self, f: DistanceFormula):
         super().__init__()
@@ -165,7 +161,7 @@ def candidate_oracle(ib: ImplicitBipartite, B):
             [[masks[i] for masks in data] for i in range(ib.formula.c)],
             (1 << len(state.taken)) - 1)
     else:
-        judge = state.judge
+        judge = ib._judge
         choice = next(
             (idxs for idxs in product(range(len(data)), repeat=ib.formula.c)
              if all(map(judge, zip(*(data[i] for i in idxs))))),
@@ -218,21 +214,38 @@ def _covering_assignment(coverage, full):
 
 
 def _defeats(ib: ImplicitBipartite, A):
-    """Yield, in lex order over witness-side entry tuples, each one that
-    disagrees with some candidate tuple in A: the bitmask over A of the
-    candidates it disagrees with, and its representative witness tuple."""
-    f = ib.formula
+    """Yield, in lex order over witness-side profile classes, each tuple
+    of classes that disagrees with some candidate tuple in A: the bitmask
+    over A of the candidates it disagrees with, and its representative
+    witness tuple.  For d = 1 the classes are scanned lazily, so a caller
+    that stops early never profiles the rest of the balls."""
+    g, f = ib.graph, ib.formula
     for a in A:
-        _check_tuple(ib.graph, a, f.c, "candidate")
-    table, rows = _on_pivot(ib, A)
-    judge = _Judge(f)
-    for idxs in product(range(len(table.entries)), repeat=f.d):
+        _check_tuple(g, a, f.c, "candidate")
+    r = f.radius()
+    balls = {}  # distinct vertex of A -> {vertex within r: distance}
+    for a in A:
+        for s in a:
+            if s not in balls:
+                dist, reached = bfs_reach(g, s, r)
+                balls[s] = {v: dist[v] for v in reached}
+    pos = {s: i for i, s in enumerate(balls)}
+    gets = [ball.get for ball in balls.values()]
+    classes = first_of_each_class(
+        g.n, sorted(set().union(*balls.values())),
+        lambda v: tuple([get(v, INF) for get in gets]))
+    at_a = [[pos[x] for x in a] for a in A]  # profile positions per tuple
+    judge = ib._judge
+    # zip yields the 1-tuples lazily; product would read every class first
+    picks = zip(classes) if f.d == 1 else product(classes, repeat=f.d)
+    for pick in picks:  # per witness variable: (representative, profile)
         mask = 0
-        for ai, ra in enumerate(rows):
-            if not judge(tuple(zip(*(ra[j] for j in idxs)))):
+        for ai, at in enumerate(at_a):
+            if not judge(tuple(tuple(prof[i] for _, prof in pick)
+                               for i in at)):
                 mask |= 1 << ai
         if mask:
-            yield mask, tuple(table.entries[i].representative for i in idxs)
+            yield mask, tuple(v for v, _ in pick)
 
 
 def weak_witness_oracle(ib: ImplicitBipartite, a):
@@ -251,34 +264,63 @@ def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
         raise InputError("need p >= 1")
     options = list(_defeats(ib, A))  # (disagreement mask, witness tuple)
     # every position offers the same options, so the lex-first cover is
-    # non-decreasing; its trailing repeats of the last pick add nothing
+    # non-decreasing and its repeats are adjacent; they add nothing
     picks = _covering_assignment([[mask for mask, _ in options]] * p,
                                  (1 << len(A)) - 1)
     if picks is None:
         return None
-    return [options[i][1] for i in picks[:picks.index(picks[-1]) + 1]]
+    return [options[i][1] for i in dict.fromkeys(picks)]
 
 
 def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
     """A pair (a, b) with b a witness tuple outside B, a agreeing with all
     of B but not with b; None if every candidate agreeing with B agrees with
-    everything outside B.  Iterates actual witness tuples (an n^d loop)."""
+    everything outside B.  Iterates actual witness tuples (an n^d loop).
+
+    The profile table on B is built once per call, and whether a tuple of
+    its entries agrees with all of B is judged once.  A tried ``b_new``
+    costs the balls of its own vertices: the classes on the pivot of B and
+    ``b_new`` are those of (entry on B, distances to ``b_new``), scanned in
+    vertex order over the union of every ball."""
     g, f = ib.graph, ib.formula
     if f.d > d_budget:
         raise ResourceBudgetError(
             f"extension oracle limited to d <= {d_budget} witness variables")
     for b in B:
         _check_tuple(g, b, f.d, "witness")
+    r = f.radius()
+    table = build_profile_table(g, {v for b in B for v in b}, r)
+    pos = {v: i for i, v in enumerate(table.pivot)}
+    values = [e.profile.values for e in table.entries]
+    at_b = [[pos[v] for v in b] for b in B]  # pivot positions per tuple
+    entry_of, far = table.vertex_to_profile.near, table.vertex_to_profile.far
+    near_b = sorted(entry_of)
+    judge = ib._judge
+    agrees = {}  # tuple of entries on B -> agrees with every tuple of B
     taken = set(map(tuple, B))
-    judge = _Judge(f)
     for b_new in product(range(g.n), repeat=f.d):
         if b_new in taken:
             continue
-        table, (r_new, *rows) = _on_pivot(ib, (b_new, *B))
-        for idxs in product(range(len(table.entries)), repeat=f.c):
-            if (not judge(tuple(r_new[i] for i in idxs))
-                    and all(judge(tuple(rb[i] for i in idxs))
-                            for rb in rows)):
-                a = tuple(table.entries[i].representative for i in idxs)
-                return a, b_new
+        dists, fresh = {}, set()
+        for s in b_new:
+            if s not in dists:
+                dists[s], reached = bfs_reach(g, s, r)
+                fresh.update(v for v in reached if v not in entry_of)
+        to_new = [dists[s] for s in b_new]
+        classes = list(first_of_each_class(
+            g.n, sorted(chain(near_b, fresh)),
+            lambda v: (entry_of.get(v, far), tuple([d[v] for d in to_new]))))
+        # a tuple of rows to b_new is the candidate-side matrix itself
+        matrices = product([row for _, (_, row) in classes], repeat=f.c)
+        for pick, m in zip(product(classes, repeat=f.c), matrices):
+            if judge(m):
+                continue
+            es = tuple(e for _, (e, _) in pick)
+            held = agrees.get(es)
+            if held is None:
+                held = agrees[es] = all(
+                    judge(tuple(tuple(values[e][i] for i in at) for e in es))
+                    for at in at_b)
+            if held:
+                return tuple(v for v, _ in pick), b_new
     return None

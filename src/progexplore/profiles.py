@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import InputError
@@ -106,6 +106,24 @@ def build_profile_table(g: Graph, pivot, r: int) -> ProfileTable:
     near = {v: pos[k] for v, k in parts.class_of.items()}
     return ProfileTable(pivot, r, entries,
                         ProfileIndex(g.n, near, pos.get(0)))
+
+
+def first_of_each_class(n: int, near, key):
+    """Lazily yield ``(v, key(v))`` for the lowest-id vertex ``v`` of each
+    distinct key, in increasing ``v``: the classes of a profile table in
+    table order, without building the table.
+
+    ``near`` is a sorted list of distinct vertex ids outside which every
+    vertex shares one key (the union of the pivot balls); of the vertices
+    outside it only the lowest id is scanned.
+    """
+    far = next((i for i, v in enumerate(near) if i != v), len(near))
+    seen = set()
+    for v in chain(range(min(far + 1, n)), near[far:]):
+        k = key(v)
+        if k not in seen:
+            seen.add(k)
+            yield v, k
 
 
 class ProfileRefiner:

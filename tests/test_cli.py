@@ -3,19 +3,20 @@ import os
 import re
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import progexplore
-from progexplore import (TIMING_COLUMNS, bfs_capped, build_delta, cli_main,
-                         generate, records_to_csv, run_bench,
-                         serialize_bipartite, serialize_formula,
-                         serialize_graph)
-from progexplore import bench
+from progexplore import (TIMING_COLUMNS, And, Atom, DistanceFormula,
+                         DistanceMatrix, Not, Or, bfs_capped, build_delta,
+                         build_eta, cli_main, evaluate, generate,
+                         records_to_csv, run_bench, serialize_bipartite,
+                         serialize_formula, serialize_graph)
+from progexplore import bench, cli
 from progexplore.bipartite import BipartiteGraph, materialize
-from progexplore.cli import _verify_dominating
+from progexplore.cli import _verify_dominating, _verify_formula_solution
 from progexplore.graph import Graph
 
 
@@ -120,6 +121,56 @@ def test_formula_must_be_positive(p4, tmp_path, capsys):
     code, _ = run(capsys, "solve-domset-formula", "--graph", p4,
                   "--formula", str(ff))
     assert code == 2
+
+
+def per_tuple_verdict(g, f, a):
+    """The verifier as it was: one matrix and one evaluation per witness
+    tuple."""
+    r = f.radius()
+    dists = [bfs_capped(g, v, r) for v in a]
+    return all(evaluate(f, DistanceMatrix(r, tuple(
+        tuple(dists[i][bj] for bj in b) for i in range(f.c))))
+        for b in product(range(g.n), repeat=f.d))
+
+
+def test_formula_verifier_matches_per_tuple_check():
+    formulas = [build_delta(1, 1), build_delta(2, 2), build_eta(2, 1),
+                DistanceFormula(2, 2, And((Atom(1, 0, 0),
+                                           Not(Atom(0, 1, 1))))),
+                DistanceFormula(1, 2, Or((Atom(2, 0, 0), Atom(1, 0, 1))))]
+    verdicts = set()
+    for g in (path_graph(6), generate("cycle", {"n": 7}),
+              Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])):
+        for f in formulas:
+            for a in product(range(g.n), repeat=f.c):
+                want = per_tuple_verdict(g, f, a)
+                assert _verify_formula_solution(g, f, a) is want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_formula_verifier_evaluates_each_distinct_matrix_once(
+        tmp_path, capsys, monkeypatch):
+    """On a star every leaf has the same column of distances to the
+    centre: 2^2 distinct matrices stand in for 301^2 witness pairs."""
+    gf = tmp_path / "star.txt"
+    gf.write_text(serialize_graph(
+        Graph.from_edges(301, [(0, v) for v in range(1, 301)])))
+    ff = tmp_path / "both.json"
+    ff.write_text(serialize_formula(
+        DistanceFormula(1, 2, And((Atom(1, 0, 0), Atom(1, 0, 1))))))
+    seen = []
+
+    def counting(f, m):
+        seen.append(m.rows)
+        return evaluate(f, m)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    code, out = run(capsys, "solve-domset-formula", "--graph", str(gf),
+                    "--formula", str(ff))
+    data = payload(out)
+    assert code == 0 and data["solution"] == [0] and data["verified"]
+    assert sorted(seen) == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
 
 
 # --- solve-indep --------------------------------------------------------------

@@ -64,7 +64,7 @@ def recursive_strong(ib, A, p):
         return None
 
     picked = dfs(0, 0, ())
-    return None if picked is None else list(picked)
+    return None if picked is None else list(dict.fromkeys(picked))
 
 
 @contextmanager
@@ -152,10 +152,10 @@ def test_strong_witness_matches_recursive_search(data):
 
 def test_strong_witness_with_many_positions():
     # the first option defeats only the second candidate, so the first
-    # cover repeats it up to the last position
+    # cover repeats it up to the last position; the set keeps one copy
     ib = ImplicitBipartite(generate("path", {"n": 9}), build_delta(1, 1))
     A = [(0,), (8,)]
     got = strong_witness_oracle(ib, A, 3000)
     with recursion_limit(3200):
         assert got == recursive_strong(ib, A, 3000)
-    assert got == [(0,)] * 2999 + [(2,)]
+    assert got == [(0,), (2,)]

@@ -1,18 +1,24 @@
-"""The oracles read per-entry distance rows and evaluate each distinct
-matrix once per call.  They are compared here with a test-local copy of the
-matrix-per-tuple code they replaced, which built one ``DistanceMatrix`` per
-profile tuple and called ``evaluate`` on every one."""
+"""The oracles read per-class distance rows and evaluate each distinct
+matrix once per implicit graph.  They are compared here with a test-local
+copy of the matrix-per-tuple code they replaced, which built one profile
+table per call (per tried witness tuple in the extension oracle) and one
+``DistanceMatrix`` per profile tuple, and called ``evaluate`` on every
+one."""
 import gc
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progexplore import (And, Atom, DistanceFormula, DistanceMatrix, Graph,
-                         ImplicitBipartite, Not, Or, bfs_capped, build_delta,
-                         build_eta, candidate_oracle, evaluate, generate,
-                         independent_set_solve, semiladder_extension_oracle,
+from progexplore import (INF, And, Atom, DistanceFormula, DistanceMatrix,
+                         Graph, ImplicitBipartite, Not, Or, bfs_capped,
+                         build_delta, build_eta, candidate_oracle,
+                         coverage_core, evaluate, generate,
+                         independent_set_solve, ladder_solve,
+                         semi_ladder_solve, semiladder_extension_oracle,
                          strong_witness_oracle, weak_witness_oracle)
 from progexplore import oracles, solvers
 from progexplore.bipartite import BipartiteGraph
@@ -114,15 +120,15 @@ def ref_strong(ib, A, p):
             hit |= options[i][0]
         return hit == full
 
-    # the depth-first search returns the lexicographically least covering
-    # multiset (a prefix sorts first) of at most p options
+    # the lexicographically least covering multiset (a prefix sorts first)
+    # of at most p options, one copy of each option
     firsts = [next((pick for pick in combinations_with_replacement(
         range(len(options)), size) if covers(pick)), None)
         for size in range(1, p + 1)]
     best = min((pick for pick in firsts if pick is not None), default=None)
     if best is None:
         return None
-    return [_reps(table, options[i][1]) for i in best]
+    return [_reps(table, options[i][1]) for i in sorted(set(best))]
 
 
 def ref_extension(ib, B):
@@ -191,6 +197,35 @@ def covering_formulas(draw):
         st.integers(0, c - 1).flatmap(lambda x: nodes(c, d, xs=[x])),
         max_size=2))
     return DistanceFormula(c, d, Or(tuple(children)))
+
+
+@st.composite
+def spread_graphs(draw, max_n=20):
+    """A path, or a disjoint union of paths and cycles, of at most
+    ``max_n`` vertices: small balls on them leave the lowest vertex outside
+    every ball between ball vertices."""
+    if draw(st.booleans()):
+        return generate("path", {"n": draw(st.integers(1, max_n))})
+    edges, n = [], 0
+    for cyclic, size in draw(st.lists(
+            st.tuples(st.booleans(), st.integers(1, 7)), min_size=2,
+            max_size=4)):
+        if n + size > max_n:
+            break
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        if cyclic and size >= 3:
+            edges.append((n, n + size - 1))
+        n += size
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def d2_formulas(draw):
+    """Random formulas with two witness variables, both of them read."""
+    c = draw(st.integers(1, 2))
+    last = Atom(draw(st.integers(0, 3)), draw(st.integers(0, c - 1)), 1)
+    join = draw(st.sampled_from([And, Or]))
+    return DistanceFormula(c, 2, join((draw(nodes(c, 2)), last)))
 
 
 def tuples(g, length, min_size, max_size):
@@ -264,7 +299,69 @@ def test_extension_matches_reference(data):
     assert semiladder_extension_oracle(ib, B) == ref_extension(ib, B)
 
 
-# --- each distinct matrix is evaluated once per call ----------------------------
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weak_witness_matches_reference_on_spread_graphs(data):
+    g = data.draw(spread_graphs())
+    f = data.draw(st.one_of(product_formulas(), covering_formulas()))
+    ib = ImplicitBipartite(g, f)
+    a = data.draw(tuples(g, f.c, 1, 1))[0]
+    assert weak_witness_oracle(ib, a) == ref_weak(ib, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_strong_witness_matches_reference_on_spread_graphs(data):
+    g = data.draw(spread_graphs(max_n=14))
+    f = data.draw(st.one_of(product_formulas(), covering_formulas()))
+    ib = ImplicitBipartite(g, f)
+    A = data.draw(tuples(g, f.c, 1, 3))
+    p = data.draw(st.integers(1, 2))
+    assert strong_witness_oracle(ib, A, p) == ref_strong(ib, A, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_matches_reference_on_spread_graphs(data):
+    g = data.draw(spread_graphs(max_n=12))
+    f = data.draw(st.one_of(product_formulas(), covering_formulas()))
+    ib = ImplicitBipartite(g, f)
+    B = data.draw(tuples(g, f.d, 0, 3))
+    assert semiladder_extension_oracle(ib, B) == ref_extension(ib, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_matches_reference_with_two_witness_variables(data):
+    g = data.draw(st.one_of(graphs(max_n=7), spread_graphs(max_n=10)))
+    f = data.draw(d2_formulas())
+    ib = ImplicitBipartite(g, f)
+    B = data.draw(tuples(g, 2, 0, 3))
+    assert semiladder_extension_oracle(ib, B) == ref_extension(ib, B)
+
+
+PATH20 = generate("path", {"n": 20})
+
+
+@pytest.mark.parametrize("f, a, B", [
+    # the balls of 0 and 10 leave vertex 2, the far class, between them
+    (build_delta(2, 1), (0, 10), [(0,), (10,)]),
+    (build_eta(2, 1), (0, 10), [(0,), (10,), (19,)]),
+    (DistanceFormula(2, 2, And((Atom(1, 0, 0), Not(Atom(0, 1, 1))))),
+     (3, 12), [(0, 10), (19, 2)]),
+])
+def test_oracles_match_reference_when_the_far_class_is_between_balls(f, a,
+                                                                     B):
+    ib = ImplicitBipartite(PATH20, f)
+    assert weak_witness_oracle(ib, a) == ref_weak(ib, a)
+    for p in (1, 2, 3):
+        assert strong_witness_oracle(ib, [a], p) == ref_strong(ib, [a], p)
+        assert (strong_witness_oracle(ib, [a, (5,) * f.c], p)
+                == ref_strong(ib, [a, (5,) * f.c], p))
+    assert semiladder_extension_oracle(ib, B) == ref_extension(ib, B)
+
+
+# --- each distinct matrix is evaluated once ----------------------------------
 
 @pytest.fixture
 def evaluations(monkeypatch):
@@ -330,6 +427,74 @@ def test_no_matrix_is_evaluated_twice_on_random_calls(data):
         oracles.evaluate = saved
 
 
+SOLVES = [
+    (generate("path", {"n": 12}), build_eta(3, 5), 3),
+    (generate("cycle", {"n": 11}), build_eta(3, 3), 4),
+    (generate("cycle", {"n": 12}), build_delta(2, 2), 2),
+    (generate("grid", {"rows": 3, "cols": 4}),
+     DistanceFormula(2, 1, And((Atom(2, 0, 0), Not(Atom(0, 1, 0))))), 2),
+    (generate("path", {"n": 9}),
+     DistanceFormula(1, 2, Or((Atom(1, 0, 0), Atom(2, 0, 1)))), 2),
+]
+
+
+@pytest.mark.parametrize("g, f, p", SOLVES)
+def test_one_evaluation_per_matrix_per_implicit_graph(evaluations, g, f, p):
+    """The four oracles share one evaluation memo per implicit graph, so no
+    matrix is evaluated twice across whole solves on it."""
+    ib = ImplicitBipartite(g, f)
+    semi_ladder_solve(ib)
+    ladder_solve(ib, p)
+    coverage_core(ib)
+    semi_ladder_solve(ib)
+    assert evaluations
+    rows = [m.rows for m in evaluations]
+    assert len(set(rows)) == len(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_evaluation_per_matrix_on_random_solves(data):
+    g, f = data.draw(graphs(max_n=7)), data.draw(product_formulas())
+    ib = ImplicitBipartite(g, f)
+    seen = []
+
+    def counting(f, m):
+        seen.append(m.rows)
+        return evaluate(f, m)
+
+    saved = oracles.evaluate
+    oracles.evaluate = counting
+    try:
+        semi_ladder_solve(ib)
+        coverage_core(ib)
+        ladder_solve(ib, 2)
+    finally:
+        oracles.evaluate = saved
+    assert len(set(seen)) == len(seen)
+
+
+# --- no distance list is kept per tried witness tuple ------------------------
+
+def test_extension_memory_stays_within_a_few_distance_lists():
+    """A call that tries every witness tuple and finds none: its peak stays
+    within a few length-n distance lists, so nothing per tried tuple is
+    kept.  ``product(range(n))`` alone holds n int objects, about five
+    lists' worth; a distance list kept per tried tuple would be n lists."""
+    n = 4000
+    ib = ImplicitBipartite(generate("cycle", {"n": n}), build_delta(1, 1))
+    B = [(0,), (n // 2,)]  # no vertex is within 1 of both
+    semiladder_extension_oracle(ib, B)  # fill the evaluation memo
+    one_list = sys.getsizeof([INF] * n)
+    tracemalloc.start()
+    try:
+        assert semiladder_extension_oracle(ib, B) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * one_list
+
+
 # --- no reference cycles -----------------------------------------------------------
 
 @pytest.fixture
@@ -357,6 +522,8 @@ GC_CALLS = [
                                   [(0, 3, 6), (0, 4, 7)], 1),
     lambda: semiladder_extension_oracle(
         ImplicitBipartite(CYCLE11, build_delta(2, 1)), [(0,), (5,)]),
+    lambda: coverage_core(ImplicitBipartite(CYCLE11, build_eta(2, 1))),
+    lambda: ladder_solve(ImplicitBipartite(CYCLE11, build_eta(3, 3)), 4),
 ]
 
 

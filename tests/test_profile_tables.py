@@ -1,13 +1,15 @@
-"""The sparse profile table against a dense reference that profiles every
-vertex one by one."""
+"""The sparse profile table, and the ordered scan that yields its classes
+without building it, against a dense reference that profiles every vertex
+one by one."""
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progexplore import (INF, Graph, build_profile_table, generate,
-                         profile_of_vertex)
+from progexplore import (INF, Graph, bfs_capped, build_profile_table,
+                         generate, profile_of_vertex)
+from progexplore.profiles import first_of_each_class
 
 
 def dense_table(g, pivot, r):
@@ -101,3 +103,50 @@ def test_index_out_of_range_raises():
     with pytest.raises(IndexError):
         table.vertex_to_profile[3]
 
+
+
+# --- the ordered scan --------------------------------------------------------
+
+def scan(g, pivot, r):
+    dists = [bfs_capped(g, s, r) for s in sorted(set(pivot))]
+    near = sorted({v for d in dists for v in range(g.n) if d[v] != INF})
+    return list(first_of_each_class(
+        g.n, near, lambda v: tuple(d[v] for d in dists)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_inputs())
+def test_ordered_scan_yields_the_table_entries_in_order(case):
+    g, pivot, r = case
+    want, _ = dense_table(g, pivot, r)
+    assert scan(g, pivot, r) == [(rep, values) for values, rep, _ in want]
+
+
+@pytest.mark.parametrize("n, pivot, r, far", [
+    (20, [0, 10], 1, 2),  # between the two balls
+    (20, [10], 2, 0),  # before the only ball
+    (6, [0, 5], 4, None),  # every vertex is near
+    (20, [0, 1, 2], 1, 4),  # after a run of ball vertices
+])
+def test_ordered_scan_places_the_far_class_by_its_lowest_id(n, pivot, r,
+                                                            far):
+    g = generate("path", {"n": n})
+    got = scan(g, pivot, r)
+    far_classes = [v for v, values in got if set(values) == {INF}]
+    assert far_classes == ([] if far is None else [far])
+    assert [v for v, _ in got] == sorted(v for v, _ in got)
+
+
+def test_ordered_scan_is_lazy():
+    """A caller that stops at the first class profiles nothing more."""
+    keyed = []
+
+    def key(v):
+        keyed.append(v)
+        return v % 3
+
+    classes = first_of_each_class(10, [0, 1, 2, 3, 4, 5], key)
+    assert next(classes) == (0, 0)
+    assert keyed == [0]
+    assert list(classes) == [(1, 1), (2, 2)]
+    assert keyed == [0, 1, 2, 3, 4, 5, 6]  # 6: the lowest far vertex
