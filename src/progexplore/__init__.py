@@ -24,7 +24,7 @@ from .oracles import (ImplicitBipartite, candidate_oracle,
                       weak_witness_oracle)
 from .profiles import (ComplexityMeasurement, DistanceProfile, ProfileTable,
                        build_profile_table, measure_profile_complexity,
-                       profile_of_set, profile_of_vertex)
+                       profile_of_vertex)
 from .solvers import (DEFAULT_STRATEGY, EXISTS, NO_SOLUTION, NOT_EXISTS,
                       SOLUTION, STRATEGIES, Decision, Dichotomy,
                       RunTranscript, brute_force_dominating,

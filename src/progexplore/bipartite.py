@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .errors import InputError, ParseError, ResourceBudgetError
 from .formulas import DistanceFormula, DistanceMatrix, evaluate
-from .graph import Graph, bfs_capped
+from .graph import Graph, _bad_edge_line, _headed_lines, bfs_capped
 
 COMATCHING = "comatching"
 LADDER = "ladder"
@@ -462,43 +462,24 @@ def serialize_bipartite(h: BipartiteGraph) -> str:
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
-    lines = text.splitlines()
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.strip():
-            header_idx = i
-            break
-    if header_idx is None:
-        raise ParseError("empty input", line=1)
-    parts = lines[header_idx].split()
-    if len(parts) != 3:
-        raise ParseError("header must be 'L R m'", line=header_idx + 1)
-    try:
-        left_size, right_size, m = map(int, parts)
-    except ValueError:
-        raise ParseError("header must be three integers",
-                         line=header_idx + 1) from None
-    edges = []
-    seen = set()
-    for i in range(header_idx + 1, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("edge line must be 'l r'", line=i + 1)
+    """Parse the bipartite format: header "L R m", then m lines "l r", a
+    left id below L and a right id below R, both 0-based."""
+    header_line, (left_size, right_size, m), lines = _headed_lines(
+        text, "L R m")
+    if len(lines) != m:
+        raise ParseError(f"expected {m} edges, found {len(lines)}",
+                         line=header_line)
+    adj = [0] * left_size
+    for lineno, stripped in lines:
         try:
-            l, r = map(int, parts)
+            a, b = stripped.split()
+            l, r = int(a), int(b)
         except ValueError:
-            raise ParseError("edge endpoints must be integers",
-                             line=i + 1) from None
+            raise _bad_edge_line(stripped, lineno) from None
         if not (0 <= l < left_size and 0 <= r < right_size):
-            raise ParseError(f"edge ({l},{r}) out of range", line=i + 1)
-        if (l, r) in seen:
-            raise ParseError(f"duplicate edge ({l},{r})", line=i + 1)
-        seen.add((l, r))
-        edges.append((l, r))
-    if len(edges) != m:
-        raise ParseError(f"expected {m} edges, found {len(edges)}",
-                         line=header_idx + 1)
-    return BipartiteGraph.from_edges(left_size, right_size, edges)
+            raise ParseError(f"edge ({l},{r}) out of range", line=lineno)
+        bit = 1 << r
+        if adj[l] & bit:
+            raise ParseError(f"duplicate edge ({l},{r})", line=lineno)
+        adj[l] |= bit
+    return BipartiteGraph(left_size, right_size, tuple(adj))

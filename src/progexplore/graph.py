@@ -200,107 +200,101 @@ def half_square(h: Graph, bipartition_side) -> Graph:
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v"."""
-    lines = text.splitlines()
-    header = None
-    header_line = 0
-    body = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if header is None:
-            header = stripped
-            header_line = i
-        else:
-            body.append((i, stripped))
-    if header is None:
-        raise ParseError("empty graph file")
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("header must be 'n m'", line=header_line)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("header must contain two integers", line=header_line)
-    if n < 0 or m < 0:
-        raise ParseError("negative counts in header", line=header_line)
-    if len(body) != m:
-        raise ParseError(
-            f"expected {m} edge lines, found {len(body)}", line=header_line
-        )
-    adj = [[] for _ in range(n)]
-    seen = set()
-    for lineno, stripped in body:
-        toks = stripped.split()
-        if len(toks) != 2:
-            raise ParseError("edge line must be 'u v'", line=lineno)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex id out of range in ({u},{v})", line=lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=lineno)
-        key = u * n + v if u < v else v * n + u
-        if key in seen:
-            raise ParseError(f"duplicate or reversed edge ({u},{v})", line=lineno)
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    return _from_adjacency(adj)
+    header_line, (n, m), edges = _headed_lines(text, "n m")
+    return _read_edges(n, m, header_line, edges, 0)
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS .col: 'p edge n m' header, 'e u v' 1-based edges."""
-    n = None
-    m = None
-    adj = None
-    seen = set()
-    count = 0
+    """Parse DIMACS .col: 'c' comments, one 'p edge n m' problem line and
+    'e u v' edge lines with 1-based ids."""
+    problem = None
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        toks = stripped.split()
-        if toks[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate problem line", line=lineno)
-            if len(toks) != 4 or toks[1] != "edge":
-                raise ParseError("problem line must be 'p edge n m'", line=lineno)
-            try:
-                n, m = int(toks[2]), int(toks[3])
-            except ValueError:
-                raise ParseError("non-integer counts in problem line", line=lineno)
-            if n < 0:
-                raise ParseError(f"negative vertex count {n}", line=lineno)
-            adj = [[] for _ in range(n)]
-        elif toks[0] == "e":
-            if n is None:
-                raise ParseError("edge before problem line", line=lineno)
-            if len(toks) != 3:
-                raise ParseError("edge line must be 'e u v'", line=lineno)
-            try:
-                u, v = int(toks[1]) - 1, int(toks[2]) - 1
-            except ValueError:
-                raise ParseError("non-integer edge endpoints", line=lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex id out of range", line=lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u + 1}", line=lineno)
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise ParseError("duplicate or reversed edge", line=lineno)
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            count += 1
-        else:
-            raise ParseError(f"unknown line type '{toks[0]}'", line=lineno)
-    if n is None:
+        if stripped[:2] != "e ":  # edge lines skip the split below
+            if not stripped or stripped[0] == "c":
+                continue
+            toks = stripped.split()
+            if toks[0] == "p":
+                if problem is not None:
+                    raise ParseError("duplicate problem line", line=lineno)
+                if len(toks) != 4 or toks[1] != "edge":
+                    raise ParseError("problem line must be 'p edge n m'",
+                                     line=lineno)
+                problem = lineno, *_header_counts(toks[2:], lineno)
+                continue
+            if toks[0] != "e":
+                raise ParseError(f"unknown line type '{toks[0]}'",
+                                 line=lineno)
+        if problem is None:
+            raise ParseError("edge before problem line", line=lineno)
+        edges.append((lineno, stripped[1:]))
+    if problem is None:
         raise ParseError("missing problem line")
-    if m is not None and count != m:
-        raise ParseError(f"expected {m} edges, found {count}")
+    header_line, n, m = problem
+    return _read_edges(n, m, header_line, edges, 1)
+
+
+def _headed_lines(text, form):
+    """The first non-blank line's number, the counts it spells (one per
+    name in ``form``) and the numbered non-blank lines after it, stripped."""
+    lines = [(i, s) for i, raw in enumerate(text.splitlines(), start=1)
+             if (s := raw.strip())]
+    if not lines:
+        raise ParseError("empty input")
+    header_line, header = lines[0]
+    header = header.split()
+    if len(header) != len(form.split()):
+        raise ParseError(f"header must be '{form}'", line=header_line)
+    return header_line, _header_counts(header, header_line), lines[1:]
+
+
+def _header_counts(tokens, lineno):
+    """The counts a header line spells, each a non-negative integer."""
+    try:
+        counts = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError("header counts must be integers",
+                         line=lineno) from None
+    if min(counts, default=0) < 0:
+        raise ParseError("negative count in header", line=lineno)
+    return counts
+
+
+def _bad_edge_line(stripped, lineno) -> ParseError:
+    """The fault of an edge line that does not spell two integers."""
+    if len(stripped.split()) != 2:
+        return ParseError("edge line must hold two vertex ids", line=lineno)
+    return ParseError("edge endpoints must be integers", line=lineno)
+
+
+def _read_edges(n, m, header_line, lines, base) -> Graph:
+    """The graph whose edges are ``lines``, ``(line number, "u v")`` pairs
+    with ids counted from ``base``, after checking the header's count ``m``
+    and every edge.  A fault names its line and the ids as written."""
+    if len(lines) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines)}",
+                         line=header_line)
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for lineno, stripped in lines:
+        try:
+            a, b = stripped.split()
+            u, v = int(a) - base, int(b) - base
+        except ValueError:
+            raise _bad_edge_line(stripped, lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex id out of range in ({a},{b})",
+                             line=lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {a}", line=lineno)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise ParseError(f"duplicate or reversed edge ({a},{b})",
+                             line=lineno)
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
     return _from_adjacency(adj)
 
 

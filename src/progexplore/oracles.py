@@ -14,7 +14,6 @@ implicit graph serves all four oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .errors import InputError, ResourceBudgetError
@@ -86,21 +85,16 @@ class _CandidateState:
                     masks[i] |= bit
 
 
-@dataclass(frozen=True)
 class ImplicitBipartite:
     """Candidates and witnesses of ``formula`` over ``graph``.  It also
     carries the candidate oracle's state and the evaluation memo of all
     four oracles, so one instance serves one thread at a time."""
 
-    graph: Graph
-    formula: DistanceFormula
-    _candidates: _CandidateState = field(
-        default_factory=_CandidateState, init=False, compare=False,
-        repr=False)
-    _judge: _Judge = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_judge", _Judge(self.formula))
+    def __init__(self, graph: Graph, formula: DistanceFormula):
+        self.graph = graph
+        self.formula = formula
+        self._candidates = _CandidateState()
+        self._judge = _Judge(formula)
 
 
 def _check_tuple(g: Graph, t, length, what):

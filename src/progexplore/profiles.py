@@ -69,17 +69,6 @@ def profile_of_vertex(g: Graph, pivot, r: int, v: int) -> DistanceProfile:
     return DistanceProfile(r, tuple(dist[s] for s in pivot))
 
 
-def profile_of_set(g: Graph, pivot, r: int, members) -> DistanceProfile:
-    """Pointwise minimum of member profiles (INF is the top element)."""
-    members = sorted(set(members))
-    if not members:
-        raise InputError("profile of the empty set is ambiguous; refusing")
-    profiles = [profile_of_vertex(g, pivot, r, u) for u in members]
-    values = tuple(min(p.values[i] for p in profiles)
-                   for i in range(len(profiles[0].values)))
-    return DistanceProfile(r, values)
-
-
 def build_profile_table(g: Graph, pivot, r: int) -> ProfileTable:
     """The profile classes of a :class:`ProfileRefiner` that absorbs the
     whole pivot set at once, in increasing representative order.

@@ -104,7 +104,8 @@ def ladder_solve(ib: ImplicitBipartite, p: int,
             t.outcome = EXISTS
             return Decision(EXISTS, None, t)
         t.witnesses.append(list(P))
-        B.extend(P)
+        # a pick already in B defeats only candidates B already defeats
+        B.extend(b for b in P if b not in B)
         t.rounds += 1
         if t.rounds >= max_rounds:
             raise ResourceBudgetError(
@@ -274,10 +275,10 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
         s_list = sorted(S)
         dists = [bfs_capped(g, s, r, allowed=active) for s in s_list]
         arena_minus_s = active - S
+        a_profiles = {a: tuple(d[a] for d in dists) for a in A_set}
         classes: dict = {}
         for a in sorted(A_set - S):
-            prof = tuple(d[a] for d in dists)
-            classes.setdefault(prof, []).append(a)
+            classes.setdefault(a_profiles[a], []).append(a)
         anchors: set = set()
         for prof in sorted(classes):
             out = greedy_dichotomy(g, classes[prof], r, k,
@@ -288,9 +289,6 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
             # class exist, so no k-element set dominates them all and the
             # class never produces a pair that needs capturing here
         result = set(S)
-        a_profiles = {}
-        for a in A_set:
-            a_profiles[a] = tuple(d[a] for d in dists)
         for z in sorted(anchors):
             ball3 = ball(g, z, 3 * r, allowed=arena_minus_s)
             w = strat(g, arena_minus_s, z, 3 * r)

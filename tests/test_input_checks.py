@@ -1,6 +1,6 @@
-"""Checks at the input boundary: the edge-list and DIMACS parsers build the
-graph in their own validation loop, generator params are type-checked
-where they enter, and generated graphs re-check their family."""
+"""Checks at the input boundary: the edge-list and DIMACS parsers share one
+validating edge reader, generator params are type-checked where they
+enter, and generated graphs re-check their family."""
 import random
 from itertools import combinations
 
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progexplore import (Graph, InputError, InternalInvariantError,
-                         ParseError, cli_main, generate, parse_bipartite,
-                         parse_dimacs, parse_graph, run_bench)
+from progexplore import (BipartiteGraph, Graph, InputError,
+                         InternalInvariantError, ParseError, cli_main,
+                         generate, parse_bipartite, parse_dimacs, parse_graph,
+                         run_bench, serialize_bipartite)
 from progexplore.graph import _validate_family
 
 
@@ -80,6 +81,72 @@ def test_parse_dimacs_self_loop_names_one_based_vertex():
         parse_dimacs("p edge 3 1\ne 2 2\n")
 
 
+# --- both graph formats --------------------------------------------------------
+
+def both_formats(n, m, edges):
+    """An edge list and its DIMACS twin, each edge on the same line in both;
+    integer ids shift to 1-based in DIMACS, other tokens stay as they are."""
+    def dimacs_id(t):
+        return t + 1 if isinstance(t, int) else t
+    text = f"{n} {m}\n" + "".join(
+        " ".join(map(str, e)) + "\n" for e in edges)
+    dimacs = f"p edge {n} {m}\n" + "".join(
+        "e " + " ".join(str(dimacs_id(t)) for t in e) + "\n" for e in edges)
+    return text, dimacs
+
+
+@pytest.mark.parametrize("n, m, edges, line", [
+    (3, 2, [(0, 1), (0, 1)], 3),       # duplicate
+    (3, 2, [(0, 1), (1, 0)], 3),       # reversed duplicate
+    (3, 1, [(2, 2)], 2),               # self-loop
+    (3, 2, [(0, 1), (1, 3)], 3),       # id one past the last vertex
+    (3, 2, [(0, 1), (-1, 2)], 3),      # id below the first vertex
+    (3, 1, [(0, "x")], 2),             # not an integer
+    (3, 2, [(0, 1), (0, 1, 2)], 3),    # three ids
+    (3, 1, [(0,)], 2),                 # one id
+    (3, 2, [(0, 1)], 1),               # count mismatch: the header's line
+])
+def test_both_formats_fail_on_the_same_line(n, m, edges, line):
+    for parse, text in zip((parse_graph, parse_dimacs),
+                           both_formats(n, m, edges)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert line_of(exc) == line, (parse.__name__, str(exc.value))
+
+
+def test_both_formats_name_the_ids_as_written():
+    text, dimacs = both_formats(4, 2, [(0, 1), (2, 2)])
+    with pytest.raises(ParseError, match="self-loop at vertex 2"):
+        parse_graph(text)
+    with pytest.raises(ParseError, match="self-loop at vertex 3"):
+        parse_dimacs(dimacs)
+    text, dimacs = both_formats(4, 2, [(0, 1), (1, 0)])
+    with pytest.raises(ParseError, match=r"reversed edge \(1,0\)"):
+        parse_graph(text)
+    with pytest.raises(ParseError, match=r"reversed edge \(2,1\)"):
+        parse_dimacs(dimacs)
+
+
+@pytest.mark.parametrize("text", ["c x\np edge 3 -1\n", "c x\np edge -3 0\n",
+                                  "c x\np edge 3 x\n"])
+def test_dimacs_rejects_a_bad_count_on_the_problem_line(text):
+    with pytest.raises(ParseError) as exc:
+        parse_dimacs(text)
+    assert line_of(exc) == 2
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph, "\n3 2\n0 1\n"),
+    (parse_graph, "\n3 1\n0 1\n1 2\n"),
+    (parse_dimacs, "c x\np edge 3 2\ne 1 2\n"),
+    (parse_dimacs, "c x\np edge 3 1\ne 1 2\ne 2 3\n"),
+])
+def test_count_mismatch_names_the_header_line(parse, text):
+    with pytest.raises(ParseError, match="expected") as exc:
+        parse(text)
+    assert line_of(exc) == 2
+
+
 # --- parse_bipartite -----------------------------------------------------------
 
 def test_parse_bipartite_duplicate_found_among_many_edges():
@@ -91,6 +158,27 @@ def test_parse_bipartite_duplicate_found_among_many_edges():
     assert line_of(exc) == len(edges) + 3
     h = parse_bipartite(f"60 60 {len(edges)}\n" + body)
     assert h.m == len(edges)
+
+
+@pytest.mark.parametrize("header", ["-1 2 0", "2 -1 0", "2 2 -1"])
+def test_parse_bipartite_rejects_negative_header_counts(header):
+    with pytest.raises(ParseError) as exc:
+        parse_bipartite(f"\n{header}\n")
+    assert line_of(exc) == 2
+
+
+@st.composite
+def bipartite_graphs(draw):
+    left, right = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    masks = draw(st.lists(st.integers(0, (1 << right) - 1),
+                          min_size=left, max_size=left))
+    return BipartiteGraph(left, right, tuple(masks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_graphs())
+def test_parse_bipartite_inverts_serialize(h):
+    assert parse_bipartite(serialize_bipartite(h)) == h
 
 
 # --- generator params ----------------------------------------------------------

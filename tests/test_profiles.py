@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progexplore import (Graph, INF, InputError, build_profile_table,
-                         generate, measure_profile_complexity, profile_of_set,
+                         generate, measure_profile_complexity,
                          profile_of_vertex)
 
 
@@ -31,25 +31,6 @@ def test_vertex_profile_self():
 
 def test_vertex_profile_empty_pivot():
     assert profile_of_vertex(path(3), [], 1, 0).values == ()
-
-
-def test_set_profile_singleton():
-    g = path(4)
-    assert profile_of_set(g, [0, 3], 2, [1]) == profile_of_vertex(g, [0, 3], 2, 1)
-
-
-def test_set_profile_is_pointwise_min():
-    assert profile_of_set(path(3), [1], 1, [0, 2]).values == (1,)
-
-
-def test_set_profile_of_pivot_itself():
-    g = path(3)
-    assert profile_of_set(g, [0, 1, 2], 1, [0, 1, 2]).values == (0, 0, 0)
-
-
-def test_set_profile_rejects_empty():
-    with pytest.raises(InputError):
-        profile_of_set(path(3), [0], 1, [])
 
 
 def test_table_star():
@@ -91,19 +72,6 @@ def test_table_matches_per_vertex_profiles(seed, n, r):
         entry = table.entries[table.vertex_to_profile[v]]
         assert entry.profile == profile_of_vertex(g, pivot, r, v)
     assert len(table.entries) <= min((r + 2) ** len(pivot), max(n, 1))
-
-
-@given(st.integers(0, 10 ** 6), st.integers(2, 7))
-@settings(max_examples=40, deadline=None)
-def test_set_profile_dominated_by_members(seed, n):
-    g = random_graph(n, seed)
-    rng = random.Random(seed + 7)
-    members = sorted(rng.sample(range(n), rng.randint(1, n)))
-    pivot = sorted(rng.sample(range(n), rng.randint(1, n)))
-    joint = profile_of_set(g, pivot, 2, members)
-    for u in members:
-        single = profile_of_vertex(g, pivot, 2, u)
-        assert all(a <= b for a, b in zip(joint.values, single.values))
 
 
 def test_complexity_empty_pivot():

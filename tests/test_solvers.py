@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +128,50 @@ def test_ladder_matches_coverage_when_weak_helly(seed):
     d = ladder_solve(ib, p)
     want = coverage_bruteforce(h)
     assert (d.kind == EXISTS) == (want is not None)
+
+
+# Recorded from the ladder loop that put every pick into B, repeats and all:
+# (graph, formula, p, decision, candidates, witness picks per round,
+# candidate and strong-witness oracle calls).
+LADDER_RUNS = [
+    (generate("path", {"n": 12}), build_eta(3, 5), 3, NOT_EXISTS,
+     [(0, 0, 0), (0, 6, 6), (0, 6, 8), (0, 6, 10), (0, 7, 11), (0, 9, 11),
+      (0, 11, 11)],
+     [[0], [0, 4], [0, 5], [0, 6], [0, 7], [0, 8], [0, 4, 9]], (8, 7)),
+    (generate("path", {"n": 12}), build_eta(3, 3), 4, EXISTS,
+     [(0, 0, 0), (0, 4, 4), (0, 4, 6), (0, 4, 8)],
+     [[0], [0, 3], [0, 4]], (4, 4)),
+    (generate("cycle", {"n": 11}), build_eta(3, 3), 3, NOT_EXISTS,
+     [(0, 0, 0), (0, 4, 4), (0, 4, 6), (0, 5, 7), (0, 7, 7), (1, 8, 8),
+      (2, 9, 9)],
+     [[0], [0, 3], [0, 4], [0, 5], [0, 3, 6], [0, 4, 7], [0, 5, 8]], (8, 7)),
+    (generate("cycle", {"n": 11}), build_eta(3, 5), 3, NOT_EXISTS,
+     [(0, 0, 0), (1, 5, 5), (2, 6, 6), (3, 7, 7), (4, 8, 8), (6, 8, 8),
+      (8, 8, 8)],
+     [[0], [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6]], (8, 7)),
+    (generate("grid", {"rows": 4, "cols": 4}), build_eta(2, 2), 2, EXISTS,
+     [(0, 0), (0, 3)], [[0]], (2, 2)),
+    (generate("cycle", {"n": 9}), build_delta(2, 1), 2, NOT_EXISTS,
+     [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (2, 5)],
+     [[2], [2, 3], [2, 4], [2, 5], [2, 6], [0, 6]], (7, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "g, f, p, kind, candidates, picks, calls", LADDER_RUNS)
+def test_ladder_adds_each_witness_once(g, f, p, kind, candidates, picks,
+                                       calls):
+    """B skips the picks it already holds, which changes nothing else: a
+    repeated pick defeats only candidates that B already defeats."""
+    d = ladder_solve(ImplicitBipartite(g, f), p)
+    t = d.transcript
+    assert (d.kind, t.rounds, t.candidates) == (kind, len(picks), candidates)
+    assert t.witnesses == [[(w,) for w in ws] for ws in picks]
+    assert t.oracle_calls == dict(zip(("candidate", "strong_witness"), calls))
+    if kind == NOT_EXISTS:
+        assert d.payload == list(dict.fromkeys(chain.from_iterable(
+            t.witnesses)))
+        assert len(set(d.payload)) == len(d.payload)
 
 
 # --- coverage core ------------------------------------------------------------
