@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .errors import InputError, ParseError, ResourceBudgetError
 from .formulas import DistanceFormula, DistanceMatrix, evaluate
-from .graph import Graph, _bad_edge_line, _headed_lines, bfs_capped
+from .graph import Graph, _bad_edge_line, _headed_lines, _plain, bfs_capped
 
 COMATCHING = "comatching"
 LADDER = "ladder"
@@ -472,6 +472,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     adj = [0] * left_size
     for lineno, stripped in lines:
         try:
+            if not _plain(stripped):
+                raise ValueError(stripped)
             a, b = stripped.split()
             l, r = int(a), int(b)
         except ValueError:

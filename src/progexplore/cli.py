@@ -23,9 +23,10 @@ from .graph import (GENERATOR_FAMILIES, INF, bfs_capped, generate,
                     serialize_graph)
 from .oracles import ImplicitBipartite
 from .profiles import measure_profile_complexity
-from .solvers import (DEFAULT_STRATEGY, DEFAULT_WORK_BUDGET, NO_SOLUTION,
-                      SOLUTION, STRATEGIES, close_pairs, coverage_core,
-                      independent_set_solve, semi_ladder_solve)
+from .solvers import (DEFAULT_NODE_BUDGET, DEFAULT_STRATEGY,
+                      DEFAULT_WORK_BUDGET, NO_SOLUTION, SOLUTION, STRATEGIES,
+                      close_pairs, coverage_core, independent_set_solve,
+                      semi_ladder_solve)
 
 SCHEMA = "pe/1"
 
@@ -122,7 +123,8 @@ def _cmd_solve_indep(args) -> int:
     g = _load_graph(args.graph)
     decision = independent_set_solve(
         g, args.k, args.r, strategy=args.strategy,
-        depth_budget=args.depth_budget, work_budget=args.work_budget)
+        depth_budget=args.depth_budget, work_budget=args.work_budget,
+        node_budget=args.node_budget)
     payload = {
         "command": "solve-indep", "k": args.k, "r": args.r,
         "decision": decision.kind,
@@ -245,6 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-budget", type=int, default=20)
     p.add_argument("--work-budget", type=int, default=DEFAULT_WORK_BUDGET,
                    help="nodes the profile-multiset search may visit")
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="calls the pre-core recursion may make")
     p.set_defaults(func=_cmd_solve_indep)
 
     p = sub.add_parser("coverage-core",

@@ -266,6 +266,14 @@ def strong_witness_oracle(ib: ImplicitBipartite, A, p: int):
     return [options[i][1] for i in dict.fromkeys(picks)]
 
 
+def _tuples_over(n, d):
+    """The d-tuples over range(n), d >= 1, in lexicographic order, made one
+    at a time (``product`` would first copy range(n) into a tuple)."""
+    if d == 1:
+        return zip(range(n))
+    return ((v, *rest) for v in range(n) for rest in _tuples_over(n, d - 1))
+
+
 def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
     """A pair (a, b) with b a witness tuple outside B, a agreeing with all
     of B but not with b; None if every candidate agreeing with B agrees with
@@ -292,7 +300,7 @@ def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
     judge = ib._judge
     agrees = {}  # tuple of entries on B -> agrees with every tuple of B
     taken = set(map(tuple, B))
-    for b_new in product(range(g.n), repeat=f.d):
+    for b_new in _tuples_over(g.n, f.d):
         if b_new in taken:
             continue
         dists, fresh = {}, set()

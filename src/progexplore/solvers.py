@@ -22,6 +22,9 @@ from .profiles import build_profile_table
 
 # nodes the profile-multiset search of independent_set_solve may visit
 DEFAULT_WORK_BUDGET = 10 ** 6
+# pre-core recursion calls; the test grids and benchmark instances make at
+# most a few thousand
+DEFAULT_NODE_BUDGET = 10 ** 6
 
 SOLUTION = "SOLUTION"
 NO_SOLUTION = "NO_SOLUTION"
@@ -230,7 +233,8 @@ def splitter_game_round(g: Graph, v: int, r: int, strategy=DEFAULT_STRATEGY,
 
 
 def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
-                    depth_budget: int = 20):
+                    depth_budget: int = 20,
+                    node_budget: int = DEFAULT_NODE_BUDGET):
     """Vertex set Q such that whenever at most k vertices distance-r
     dominate A, every a in A has a path of length <= r to the dominating
     set passing through Q.
@@ -240,20 +244,35 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
     localizes every pair that still needs capturing near a small set Z of
     anchors; each anchor spawns a shrunken arena (its radius-3r ball plus
     S) with the strategy's pick added to S, and the recursion handles every
-    way the dominating set can sit relative to S.
+    way the dominating set can sit relative to S.  The recursion may make
+    at most ``node_budget`` calls, memo hits included.
     """
     strat = resolve_strategy(strategy)
     if k < 0 or r < 0:
         raise InputError("k and r must be >= 0")
     if depth_budget < 0:
         raise InputError("depth_budget must be >= 0")
+    if node_budget < 1:
+        raise InputError("node_budget must be >= 1")
     A = frozenset(A)
     for a in A:
         if not (0 <= a < g.n):
             raise InputError(f"invalid vertex {a}")
     memo: dict = {}
+    calls = deepest = 0  # recursion calls made, deepest depth reached
 
     def rec(active, S, A_set, budget):
+        nonlocal calls, deepest
+        calls += 1
+        depth = depth_budget - budget
+        if depth > deepest:
+            deepest = depth
+        if calls > node_budget:
+            raise ResourceBudgetError(
+                f"pre-core node budget of {node_budget} recursion calls "
+                f"exhausted at depth {depth} (deepest reached {deepest}); "
+                f"the memo holds {len(memo)} solved subproblems; a larger "
+                f"node budget may help")
         key = (active, S, A_set)
         hit = memo.get(key)
         if hit is not None:
@@ -350,7 +369,8 @@ def _placement_subsets(base, a_profiles, width, r):
 def independent_set_solve(g: Graph, k: int, r: int,
                           strategy=DEFAULT_STRATEGY,
                           depth_budget: int = 20,
-                          work_budget: int = DEFAULT_WORK_BUDGET) -> Decision:
+                          work_budget: int = DEFAULT_WORK_BUDGET,
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> Decision:
     """Find k vertices at pairwise distance > r, or certify none exist.
 
     The capture set Q for (G, V, k-1) reduces the decision to profile
@@ -358,7 +378,8 @@ def independent_set_solve(g: Graph, k: int, r: int,
     profiles keeps min over Q of the summed capped distances above r.  A
     free multiset is instantiated from representatives and repaired by the
     exchange loop, which strictly shrinks the number of close vertices.
-    The multiset search may visit at most ``work_budget`` nodes.
+    The pre-core recursion may make at most ``node_budget`` calls and the
+    multiset search may visit at most ``work_budget`` nodes.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -371,7 +392,7 @@ def independent_set_solve(g: Graph, k: int, r: int,
     if k == 1:
         return Decision(SOLUTION, (0,))
     Q = compute_precore(g, range(g.n), k - 1, r, strategy=strategy,
-                        depth_budget=depth_budget)
+                        depth_budget=depth_budget, node_budget=node_budget)
     table = build_profile_table(g, Q, r)
     profs = [e.profile.values for e in table.entries]
     counts = [e.count for e in table.entries]

@@ -135,6 +135,32 @@ def test_dimacs_rejects_a_bad_count_on_the_problem_line(text):
     assert line_of(exc) == 2
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_graph, "3 1\n0_1 2\n", "edge endpoints must be integers"),
+    (parse_graph, "1_0 0\n", "header counts must be integers"),
+    (parse_dimacs, "p edge 3 1\ne +1 ٣\n",
+     "edge endpoints must be integers"),
+    (parse_bipartite, "2 2 1\n+1 0\n", "edge endpoints must be integers"),
+])
+def test_ids_are_ascii_digits_only(parse, text, message):
+    # int() alone would read 0_1 as 1, 1_0 as 10, +1 as 1 and the
+    # Arabic-Indic three as 3
+    with pytest.raises(ParseError, match=message) as exc:
+        parse(text)
+    assert line_of(exc) == text.count("\n")
+
+
+def test_cli_exits_2_on_an_underscored_id(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("3 1\n0_1 2\n")
+    code = cli_main(["solve-domset", "--graph", str(f), "--k", "1",
+                     "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "edge endpoints must be integers (line 2)" in captured.err
+
+
 @pytest.mark.parametrize("parse, text", [
     (parse_graph, "\n3 2\n0 1\n"),
     (parse_graph, "\n3 1\n0 1\n1 2\n"),

@@ -201,6 +201,55 @@ def test_solve_indep_cli_exits_3_on_work_budget(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# --- pre-core node budget ----------------------------------------------------
+
+def test_precore_node_budget_counts_every_recursion_call():
+    # the path-12 pre-core for k=2, r=4 makes 781 calls, memo hits included
+    g = generate("path", {"n": 12})
+    assert compute_precore(g, range(12), 2, 4, node_budget=781) \
+        == compute_precore(g, range(12), 2, 4)
+    with pytest.raises(ResourceBudgetError,
+                       match=r"node budget of 780 recursion calls exhausted "
+                             r"at depth \d+ \(deepest reached 7\); the memo "
+                             r"holds \d+ solved subproblems"):
+        compute_precore(g, range(12), 2, 4, node_budget=780)
+
+
+def test_node_budget_stops_the_5x5_grid_early():
+    # k=3, r=3 makes about four million pre-core calls on this grid: over a
+    # minute of work that a small budget stops after 20000 of them
+    with pytest.raises(ResourceBudgetError, match="node budget of 20000"):
+        independent_set_solve(generate("grid", {"rows": 5, "cols": 5}), 3, 3,
+                              node_budget=20000)
+
+
+def test_node_budget_must_be_positive():
+    with pytest.raises(InputError, match="node_budget"):
+        compute_precore(generate("path", {"n": 4}), range(4), 1, 1,
+                        node_budget=0)
+
+
+def test_precore_node_budget_error_leaves_no_reference_cycle(no_gc):
+    try:
+        compute_precore(generate("path", {"n": 12}), range(12), 2, 4,
+                        node_budget=100)
+    except ResourceBudgetError:
+        pass
+    assert gc.collect() == 0
+
+
+def test_solve_indep_cli_exits_3_on_node_budget(tmp_path, capsys):
+    f = tmp_path / "grid5.txt"
+    f.write_text(serialize_graph(generate("grid", {"rows": 5, "cols": 5})))
+    code = cli_main(["solve-indep", "--graph", str(f), "--k", "3",
+                     "--r", "3", "--node-budget", "20000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "node budget of 20000 recursion calls" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # --- exchange loop -----------------------------------------------------------
 
 def old_exchange(g, X, r):
