@@ -472,9 +472,9 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     adj = [0] * left_size
     for lineno, stripped in lines:
         try:
-            if not _plain(stripped):
-                raise ValueError(stripped)
             a, b = stripped.split()
+            if not (_plain(a) and _plain(b)):
+                raise ValueError(stripped)
             l, r = int(a), int(b)
         except ValueError:
             raise _bad_edge_line(stripped, lineno) from None

@@ -207,97 +207,6 @@ def parse_graph(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col: 'c' comments, one 'p edge n m' problem line and
     'e u v' edge lines with 1-based ids."""
-    adj = _bulk_dimacs(text)
-    return _walk_dimacs(text) if adj is None else _from_adjacency(adj)
-
-
-_DROP_DIGITS = str.maketrans("", "", "0123456789")
-
-
-def _bulk_edge_list(text):
-    """The adjacency of a canonical edge list ("n m", then "u v" lines),
-    as ``serialize_graph`` writes it, or None on any doubt.
-
-    A bulk reader checks and converts the whole text at once, with no
-    work per line in Python, and returns the adjacency lists unsorted.  On
-    None the parser reads the file line by line, the same way or naming
-    the faulty line, so this path changes no result and no message."""
-    return _bulk_read(text, " ", " \n", 0)
-
-
-def _bulk_dimacs(text):
-    """The adjacency of a canonical DIMACS file (leading 'c' lines, then
-    "p edge n m" and "e u v" lines with 1-based ids), or None on any
-    doubt, read as :func:`_bulk_edge_list` reads an edge list."""
-    pos = 0  # past the leading comment lines
-    while text.startswith("c", pos):
-        pos = text.find("\n", pos) + 1 or len(text)
-    # a line break other than "\n" among them is left to the walker
-    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
-        return None
-    return _bulk_read(text[pos:], "p edge  ", "e  \n", 1)
-
-
-def _bulk_read(text, header, line, base):
-    """The adjacency of a canonical file, or None.  ``header`` and
-    ``line`` are its header line and an edge line with their digits
-    deleted.  A canonical file is its header line, with n and m as the
-    last two words, then m edge lines, each with two ids as the last two
-    words; all numbers in ASCII digits, the final "\\n" optional.
-    """
-    head, _, body = text.partition("\n")
-    words = head.split()
-    title = header.split()  # the words before the counts: none, or "p edge"
-    if (head.translate(_DROP_DIGITS) != header
-            or words[:-2] != title or len(words) != len(title) + 2):
-        return None
-    try:
-        n, m = int(words[-2]), int(words[-1])
-    except ValueError:  # more digits than int converts
-        return None
-    # digits deleted, the body must be the line template m times: this
-    # rejects signs, '_', non-ASCII digits, tabs, '\r' and blank lines
-    shape, rows = body.translate(_DROP_DIGITS), line * m
-    if shape != rows and shape != rows[:-1]:
-        return None
-    tokens = body.split()
-    tag = line.split()  # the words before the ids: none, or DIMACS "e"
-    width = len(tag) + 2
-    # a line with an empty id spells fewer words, so the count catches it
-    if len(tokens) != width * m:
-        return None
-    if tag:
-        if tokens[0::width] != tag * m:
-            return None
-        del tokens[0::width]
-    try:
-        ids = list(map(int, tokens))
-    except ValueError:
-        return None
-    del tokens  # the largest list here; freed before the adjacency is built
-    if base:
-        ids = [i - base for i in ids]
-    if ids and not (0 <= min(ids) and max(ids) < n):
-        return None
-    adj = [[] for _ in range(n)]
-    it = iter(ids)
-    for u, v in zip(it, it):
-        adj[u].append(v)
-        adj[v].append(u)
-    # a self-loop or a repeated edge, either way round, repeats a neighbour
-    if sum(map(len, map(set, adj))) != 2 * m:
-        return None
-    return adj
-
-
-def _walk_edge_list(text) -> Graph:
-    """:func:`parse_graph` line by line; every fault names its line."""
-    header_line, (n, m), edges = _headed_lines(text, "n m")
-    return _read_edges(n, m, header_line, edges, 0)
-
-
-def _walk_dimacs(text) -> Graph:
-    """:func:`parse_dimacs` line by line; every fault names its line."""
     problem = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -324,6 +233,60 @@ def _walk_dimacs(text) -> Graph:
         raise ParseError("missing problem line")
     header_line, n, m = problem
     return _read_edges(n, m, header_line, edges, 1)
+
+
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _bulk_edge_list(text):
+    """The adjacency of a canonical edge list, as ``serialize_graph``
+    writes it ("n m", then m lines "u v": ASCII digits, single spaces,
+    "\\n" line ends, the final one optional), or None on any doubt.
+
+    A bulk reader checks and converts the whole text at once, with no
+    work per line in Python, and returns the adjacency lists unsorted.  On
+    None the parser reads the file line by line, the same way or naming
+    the faulty line, so this path changes no result and no message."""
+    head, _, body = text.partition("\n")
+    words = head.split()
+    if head.translate(_DROP_DIGITS) != " " or len(words) != 2:
+        return None
+    try:
+        n, m = map(int, words)
+    except ValueError:  # more digits than int converts
+        return None
+    # digits deleted, the body must be " \n" m times: this rejects signs,
+    # '_', non-ASCII digits, tabs, '\r', blank lines and a third id.  Its
+    # length is checked first, so the header's m never sizes a string.
+    shape = body.translate(_DROP_DIGITS)
+    if (len(shape) not in (2 * m, 2 * m - 1)
+            or shape != (" \n" * m)[:len(shape)]):
+        return None
+    ids = body.split()
+    # a line with an empty id spells fewer words, so the count catches it
+    if len(ids) != 2 * m:
+        return None
+    try:
+        ids = list(map(int, ids))
+    except ValueError:
+        return None
+    if ids and not (0 <= min(ids) and max(ids) < n):
+        return None
+    adj = [[] for _ in range(n)]
+    it = iter(ids)
+    for u, v in zip(it, it):
+        adj[u].append(v)
+        adj[v].append(u)
+    # a self-loop or a repeated edge, either way round, repeats a neighbour
+    if sum(map(len, map(set, adj))) != 2 * m:
+        return None
+    return adj
+
+
+def _walk_edge_list(text) -> Graph:
+    """:func:`parse_graph` line by line; every fault names its line."""
+    header_line, (n, m), edges = _headed_lines(text, "n m")
+    return _read_edges(n, m, header_line, edges, 0)
 
 
 def _headed_lines(text, form):
@@ -379,9 +342,9 @@ def _read_edges(n, m, header_line, lines, base) -> Graph:
     seen = set()
     for lineno, stripped in lines:
         try:
-            if not _plain(stripped):
-                raise ValueError(stripped)
             a, b = stripped.split()
+            if not (_plain(a) and _plain(b)):
+                raise ValueError(stripped)
             u, v = int(a) - base, int(b) - base
         except ValueError:
             raise _bad_edge_line(stripped, lineno) from None

@@ -150,6 +150,50 @@ def test_ids_are_ascii_digits_only(parse, text, message):
     assert line_of(exc) == text.count("\n")
 
 
+@pytest.mark.parametrize("parse, text, want", [
+    (parse_graph, "2 1\n0\u00a01\n", Graph.from_edges(2, [(0, 1)])),
+    (parse_dimacs, "p edge 2 1\ne 1\u00a02\n",
+     Graph.from_edges(2, [(0, 1)])),
+    (parse_bipartite, "1 1 1\n0\u00a00\n",
+     BipartiteGraph.from_edges(1, 1, [(0, 0)])),
+])
+def test_ids_may_be_split_by_any_whitespace(parse, text, want):
+    # the rule is on the ids; a line splits as str.split splits it,
+    # here at a no-break space
+    assert parse(text) == want
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph, f"0 {HUGE}\n"),
+    (parse_graph, f"2 {HUGE}\n0 1\n"),
+    (parse_dimacs, f"p edge 0 {HUGE}\n"),
+])
+def test_a_huge_edge_count_is_a_count_mismatch(parse, text):
+    # the header's count must not size anything before the body is read
+    with pytest.raises(ParseError,
+                       match=f"expected {HUGE} edge lines, found ") as exc:
+        parse(text)
+    assert line_of(exc) == 1
+
+
+@pytest.mark.parametrize("name, text", [
+    ("g.txt", f"0 {HUGE}\n"),
+    ("g.col", f"p edge 0 {HUGE}\n"),
+])
+def test_cli_exits_2_on_a_huge_edge_count(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    code = cli_main(["solve-domset", "--graph", str(f), "--k", "1",
+                     "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"expected {HUGE} edge lines, found 0 (line 1)" in captured.err
+
+
 def test_cli_exits_2_on_an_underscored_id(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text("3 1\n0_1 2\n")
