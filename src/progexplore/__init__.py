@@ -16,9 +16,9 @@ from .errors import (ContractViolationError, InputError,
 from .formulas import (And, Atom, DistanceFormula, DistanceMatrix, Not, Or,
                        build_delta, build_eta, evaluate, parse_formula,
                        serialize_formula)
-from .graph import (GENERATOR_FAMILIES, INF, Graph, ball, bfs_capped,
-                    generate, graph_power, half_square, has_ktt, parse_dimacs,
-                    parse_graph, serialize_graph)
+from .graph import (GENERATOR_FAMILIES, INF, Graph, ball, ball_distances,
+                    bfs_capped, generate, graph_power, half_square, has_ktt,
+                    parse_dimacs, parse_graph, serialize_graph)
 from .oracles import (ImplicitBipartite, candidate_oracle,
                       semiladder_extension_oracle, strong_witness_oracle,
                       weak_witness_oracle)

@@ -15,7 +15,7 @@ from .errors import InputError, ProgExploreError, ResourceBudgetError
 from .formulas import build_delta
 from .graph import generate
 from .oracles import ImplicitBipartite
-from .solvers import (NO_SOLUTION, SOLUTION, brute_force_dominating,
+from .solvers import (SOLUTION, brute_force_dominating,
                       brute_force_independent, independent_set_solve,
                       semi_ladder_solve)
 

@@ -18,13 +18,12 @@ from .bipartite import OBSTRUCTION_KINDS, index_of, parse_bipartite
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ParseError, ResourceBudgetError)
 from .formulas import (DistanceMatrix, build_delta, evaluate, parse_formula)
-from .graph import (GENERATOR_FAMILIES, INF, bfs_capped, generate,
-                    multi_source_distances, parse_dimacs, parse_graph,
-                    serialize_graph)
+from .graph import (GENERATOR_FAMILIES, ball_distances, bfs_capped, generate,
+                    parse_dimacs, parse_graph, serialize_graph)
 from .oracles import ImplicitBipartite
 from .profiles import measure_profile_complexity
 from .solvers import (DEFAULT_NODE_BUDGET, DEFAULT_STRATEGY,
-                      DEFAULT_WORK_BUDGET, NO_SOLUTION, SOLUTION, STRATEGIES,
+                      DEFAULT_WORK_BUDGET, SOLUTION, STRATEGIES,
                       close_pairs, coverage_core, independent_set_solve,
                       semi_ladder_solve)
 
@@ -52,7 +51,7 @@ def _emit(payload: dict) -> None:
 
 
 def _verify_dominating(g, solution, r) -> bool:
-    return INF not in multi_source_distances(g, set(solution), r)
+    return len(ball_distances(g, solution, r)) == g.n
 
 
 def _verify_independent(g, solution, r) -> bool:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError, ParseError
-from .graph import INF
 
 
 @dataclass(frozen=True)

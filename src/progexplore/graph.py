@@ -93,70 +93,49 @@ def _from_adjacency(adj) -> Graph:
     return Graph(len(adj), tuple(map(tuple, adj)))
 
 
-def bfs_capped(g: Graph, source: int, cap, allowed=None):
-    """Distances from ``source``, exact up to ``cap``, INF beyond.
+def ball_distances(g: Graph, sources, cap, allowed=None) -> dict:
+    """``{vertex within cap of some source: distance to the nearest}``, in
+    BFS order, sources first: the one BFS of the package.
 
-    ``allowed`` optionally restricts the search to an induced subgraph
-    (a set of vertex ids containing ``source``).
+    ``allowed`` optionally restricts the search to an induced subgraph (a
+    set of vertex ids holding every source).  The work is proportional to
+    the ball; nothing of length n is allocated.
     """
-    return bfs_reach(g, source, cap, allowed)[0]
-
-
-def bfs_reach(g: Graph, source: int, cap, allowed=None):
-    """``(dist, reached)``: the distances of :func:`bfs_capped` and the
-    vertices within ``cap`` of ``source``, in BFS order (source first).
-
-    The work beyond allocating ``dist`` is proportional to the ball, so a
-    caller that reads only ``reached`` never scans all n vertices.
-    """
-    if not (0 <= source < g.n):
-        raise InputError(f"invalid source vertex {source}")
     if cap < 0:
         raise InputError(f"negative BFS cap {cap}")
-    if allowed is not None and source not in allowed:
-        raise InputError(f"source {source} not in allowed set")
-    dist = [INF] * g.n
-    dist[source] = 0
-    return dist, _settle(g, dist, [source], cap, allowed)
-
-
-def multi_source_distances(g: Graph, sources, cap):
-    """Distance to the nearest vertex of ``sources``, exact up to ``cap``,
-    INF beyond: one BFS for the whole set."""
-    if cap < 0:
-        raise InputError(f"negative BFS cap {cap}")
-    dist = [INF] * g.n
-    queue = []
+    dist = {}
     for s in sources:
         if not (0 <= s < g.n):
             raise InputError(f"invalid source vertex {s}")
-        if dist[s] is INF:
-            dist[s] = 0
-            queue.append(s)
-    _settle(g, dist, queue, cap, None)
+        if allowed is not None and s not in allowed:
+            raise InputError(f"source {s} not in allowed set")
+        dist[s] = 0
+    frontier, d = list(dist), 0
+    while frontier and d < cap:
+        d += 1
+        layer = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w not in dist and (allowed is None or w in allowed):
+                    dist[w] = d
+                    layer.append(w)
+        frontier = layer
     return dist
 
 
-def _settle(g: Graph, dist, reached, cap, allowed):
-    """Run the capped BFS whose sources are ``reached`` (already at
-    distance 0 in ``dist``), appending each vertex it settles to
-    ``reached``; return ``reached``."""
-    for u in reached:  # the list doubles as the FIFO queue
-        du = dist[u]
-        if du == cap:
-            continue
-        for w in g.adjacency[u]:
-            # FIFO order settles each vertex at first sight, so ``reached``
-            # lists every vertex once
-            if dist[w] is INF and (allowed is None or w in allowed):
-                dist[w] = du + 1
-                reached.append(w)
-    return reached
+def bfs_capped(g: Graph, source: int, cap, allowed=None):
+    """Distances from ``source``, exact up to ``cap``, INF beyond: the
+    full-list view of :func:`ball_distances`, for callers that read every
+    vertex."""
+    dist = [INF] * g.n
+    for v, d in ball_distances(g, (source,), cap, allowed).items():
+        dist[v] = d
+    return dist
 
 
 def ball(g: Graph, source: int, radius, allowed=None):
     """Vertices within distance ``radius`` of ``source`` (induced arena)."""
-    return set(bfs_reach(g, source, radius, allowed=allowed)[1])
+    return set(ball_distances(g, (source,), radius, allowed))
 
 
 def graph_power(g: Graph, s: int) -> Graph:
@@ -167,8 +146,8 @@ def graph_power(g: Graph, s: int) -> Graph:
         return g
     edges = []
     for u in range(g.n):
-        reached = bfs_reach(g, u, s)[1]
-        edges.extend((u, v) for v in sorted(reached) if v > u)
+        edges.extend((u, v) for v in sorted(ball_distances(g, (u,), s))
+                     if v > u)
     return Graph.from_edges(g.n, edges)
 
 

@@ -19,7 +19,7 @@ from itertools import chain, product
 from .errors import InputError, ResourceBudgetError
 from .formulas import (Atom, DistanceFormula, DistanceMatrix, Or, evaluate,
                        holds, walk)
-from .graph import INF, Graph, bfs_reach
+from .graph import INF, Graph, ball_distances
 from .profiles import (ProfileRefiner, build_profile_table,
                        first_of_each_class)
 
@@ -221,8 +221,7 @@ def _defeats(ib: ImplicitBipartite, A):
     for a in A:
         for s in a:
             if s not in balls:
-                dist, reached = bfs_reach(g, s, r)
-                balls[s] = {v: dist[v] for v in reached}
+                balls[s] = ball_distances(g, (s,), r)
     pos = {s: i for i, s in enumerate(balls)}
     gets = [ball.get for ball in balls.values()]
     classes = first_of_each_class(
@@ -303,15 +302,16 @@ def semiladder_extension_oracle(ib: ImplicitBipartite, B, d_budget: int = 2):
     for b_new in _tuples_over(g.n, f.d):
         if b_new in taken:
             continue
-        dists, fresh = {}, set()
+        balls, fresh = {}, set()
         for s in b_new:
-            if s not in dists:
-                dists[s], reached = bfs_reach(g, s, r)
-                fresh.update(v for v in reached if v not in entry_of)
-        to_new = [dists[s] for s in b_new]
+            if s not in balls:
+                balls[s] = ball_distances(g, (s,), r)
+                fresh.update(v for v in balls[s] if v not in entry_of)
+        to_new = [balls[s].get for s in b_new]
         classes = list(first_of_each_class(
             g.n, sorted(chain(near_b, fresh)),
-            lambda v: (entry_of.get(v, far), tuple([d[v] for d in to_new]))))
+            lambda v: (entry_of.get(v, far),
+                       tuple([get(v, INF) for get in to_new]))))
         # a tuple of rows to b_new is the candidate-side matrix itself
         matrices = product([row for _, (_, row) in classes], repeat=f.c)
         for pick, m in zip(product(classes, repeat=f.c), matrices):

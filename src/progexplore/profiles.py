@@ -7,7 +7,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import InputError
-from .graph import Graph, INF, bfs_capped, bfs_reach
+from .graph import Graph, INF, ball_distances, bfs_capped
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def build_profile_table(g: Graph, pivot, r: int) -> ProfileTable:
 
     Only the vertices inside some pivot ball are profiled one by one; the
     rest of the graph shares the all-INF profile and enters as one "far"
-    class, represented by its lowest id.  The cost is the pivot balls (plus
-    allocating one distance list per pivot), not n.
+    class, represented by its lowest id.  The cost is the pivot balls, not
+    n.
     """
     pivot = tuple(sorted(set(pivot)))
     for s in pivot:
@@ -141,11 +141,10 @@ class ProfileRefiner:
         pair of class ids per class created, in increasing child id."""
         if s in self.balls:
             return []
-        dist, reached = bfs_reach(self.g, s, self.r)
-        self.balls[s] = {v: dist[v] for v in reached}
+        ball = self.balls[s] = ball_distances(self.g, (s,), self.r)
         parts = {}  # (class id, distance to s) -> vertices
-        for v in reached:
-            parts.setdefault((self.class_of.get(v, 0), dist[v]), []).append(v)
+        for v, d in ball.items():
+            parts.setdefault((self.class_of.get(v, 0), d), []).append(v)
         splits = []
         for (k, _), vs in parts.items():
             members = self.members[k]

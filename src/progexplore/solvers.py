@@ -14,7 +14,7 @@ from math import comb
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ResourceBudgetError,
                      SplitterBudgetError)
-from .graph import Graph, INF, ball, bfs_capped, multi_source_distances
+from .graph import Graph, INF, ball, ball_distances, bfs_capped
 from .oracles import (ImplicitBipartite, candidate_oracle,
                       semiladder_extension_oracle, strong_witness_oracle,
                       weak_witness_oracle)
@@ -225,7 +225,7 @@ def splitter_game_round(g: Graph, v: int, r: int, strategy=DEFAULT_STRATEGY,
     if w not in bl:
         raise ContractViolationError(
             f"strategy returned {w}, outside the radius-{r} ball of {v}")
-    next_active = frozenset(bl) - {w} - set(excluded)
+    next_active = frozenset(bl).difference((w,), excluded)
     return w, next_active
 
 
@@ -309,15 +309,11 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
             # class never produces a pair that needs capturing here
         result = set(S)
         for z in sorted(anchors):
-            ball3 = ball(g, z, 3 * r, allowed=arena_minus_s)
-            w = strat(g, arena_minus_s, z, 3 * r)
-            if w not in ball3:
-                raise ContractViolationError(
-                    f"strategy returned {w}, outside the radius-{3 * r} "
-                    f"ball of {z}")
+            w, rest = splitter_game_round(g, z, 3 * r, strat,
+                                          active=arena_minus_s)
             ball2 = ball(g, z, 2 * r, allowed=arena_minus_s)
-            new_active = frozenset(ball3) | S
             new_S = S | {w}
+            new_active = rest | new_S  # w is in the radius-3r ball
             base = [a for a in sorted(A_set) if a in ball2]
             for filtered in _placement_subsets(base, a_profiles,
                                                len(s_list), r):
@@ -441,12 +437,13 @@ def _exchange(g: Graph, X, r: int):
         before = len({v for pair in pairs for v in pair})
         w = pairs[0][1]
         rest = [x for x in X if x != w]
-        near = multi_source_distances(g, rest, r)
-        if INF not in near:
+        near = ball_distances(g, rest, r)
+        far = next((v for v in range(g.n) if v not in near), None)
+        if far is None:
             raise InternalInvariantError(
                 "remainder dominates the graph; capture set was not a "
                 "valid capture certificate")
-        X = sorted(rest + [near.index(INF)])
+        X = sorted(rest + [far])
         pairs = close_pairs(g, X, r)
         if len({v for pair in pairs for v in pair}) >= before:
             raise InternalInvariantError("exchange loop made no progress")

@@ -136,12 +136,12 @@ def test_refiner_runs_one_bfs_per_pivot_vertex(monkeypatch):
     ib = ImplicitBipartite(g, build_delta(2, 3))
     sources = []
 
-    def counting(g, s, cap, allowed=None):
-        sources.append(s)
-        return bfs_reach(g, s, cap, allowed)
+    def counting(g, ss, cap, allowed=None):
+        sources.extend(ss)
+        return ball_distances(g, ss, cap, allowed)
 
-    bfs_reach = profiles.bfs_reach
-    monkeypatch.setattr(profiles, "bfs_reach", counting)
+    ball_distances = profiles.ball_distances
+    monkeypatch.setattr(profiles, "ball_distances", counting)
     B = []
     for b in [(0,), (899,), (0,), (450,), (17,)]:
         B.append(b)

@@ -13,7 +13,7 @@ from progexplore import (INF, Graph, InputError, InternalInvariantError,
                          brute_force_independent, cli_main, compute_precore,
                          generate, independent_set_solve, serialize_graph)
 from progexplore import solvers
-from progexplore.graph import multi_source_distances
+from progexplore.graph import ball_distances
 
 
 def random_connected(n, seed):
@@ -299,13 +299,14 @@ def test_exchange_matches_per_vertex_search():
     assert swaps > 20  # the loop really ran
 
 
-def test_multi_source_distances_is_the_nearest_source():
+def test_ball_distances_is_the_nearest_source():
     g = random_connected(10, 77)
     for sources in ([0], [3, 7], [1, 2, 9], []):
         for cap in range(4):
             want = [min((bfs_capped(g, s, cap)[v] for s in sources),
                         default=INF) for v in range(g.n)]
-            assert multi_source_distances(g, sources, cap) == want
+            assert ball_distances(g, sources, cap) == {
+                v: d for v, d in enumerate(want) if d != INF}
 
 
 @pytest.mark.parametrize("seed", range(20))
