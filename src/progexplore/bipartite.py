@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .errors import InputError, ParseError, ResourceBudgetError
 from .formulas import DistanceFormula, DistanceMatrix, evaluate
-from .graph import Graph, _bad_edge_line, _headed_lines, _plain, bfs_capped
+from .graph import Graph, _headed_lines, _id_pairs, bfs_capped
 
 COMATCHING = "comatching"
 LADDER = "ladder"
@@ -470,14 +470,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         raise ParseError(f"expected {m} edges, found {len(lines)}",
                          line=header_line)
     adj = [0] * left_size
-    for lineno, stripped in lines:
-        try:
-            a, b = stripped.split()
-            if not (_plain(a) and _plain(b)):
-                raise ValueError(stripped)
-            l, r = int(a), int(b)
-        except ValueError:
-            raise _bad_edge_line(stripped, lineno) from None
+    for lineno, _, _, l, r in _id_pairs(lines):
         if not (0 <= l < left_size and 0 <= r < right_size):
             raise ParseError(f"edge ({l},{r}) out of range", line=lineno)
         bit = 1 << r

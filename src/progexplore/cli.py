@@ -18,8 +18,8 @@ from .bipartite import OBSTRUCTION_KINDS, index_of, parse_bipartite
 from .errors import (ContractViolationError, InputError,
                      InternalInvariantError, ParseError, ResourceBudgetError)
 from .formulas import (DistanceMatrix, build_delta, evaluate, parse_formula)
-from .graph import (GENERATOR_FAMILIES, ball_distances, bfs_capped, generate,
-                    parse_dimacs, parse_graph, serialize_graph)
+from .graph import (GENERATOR_FAMILIES, bfs_capped, generate, parse_dimacs,
+                    parse_graph, serialize_graph)
 from .oracles import ImplicitBipartite
 from .profiles import measure_profile_complexity
 from .solvers import (DEFAULT_NODE_BUDGET, DEFAULT_STRATEGY,
@@ -36,22 +36,22 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _load_graph(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _load_graph(path: str):
+    text = _read_text(path)
     if path.endswith(".col"):
         return parse_dimacs(text)
     return parse_graph(text)
 
 
-def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
+def _emit(args, payload: dict) -> None:
+    payload = {"schema": SCHEMA, "command": args.command, **payload}
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
-
-
-def _verify_dominating(g, solution, r) -> bool:
-    return len(ball_distances(g, solution, r)) == g.n
 
 
 def _verify_independent(g, solution, r) -> bool:
@@ -71,50 +71,38 @@ def _verify_formula_solution(g, f, a) -> bool:
 
 def _cmd_solve_domset(args) -> int:
     g = _load_graph(args.graph)
-    ib = ImplicitBipartite(g, build_delta(args.k, args.r))
-    decision = semi_ladder_solve(ib, max_rounds=args.max_rounds)
-    payload = {
-        "command": "solve-domset", "k": args.k, "r": args.r,
-        "decision": decision.kind,
-        "rounds": decision.transcript.rounds,
-        "oracle_calls": decision.transcript.oracle_calls,
-    }
-    if decision.kind == SOLUTION:
-        if not _verify_dominating(g, decision.payload, args.r):
-            raise InternalInvariantError("solution failed verification")
-        payload["solution"] = sorted(set(decision.payload))
-        payload["verified"] = True
-        _emit(payload)
-        return EXIT_OK
-    payload["witnesses"] = [list(b) for b in decision.payload]
-    _emit(payload)
-    return EXIT_NEGATIVE
+    return _solve_domination(args, g, build_delta(args.k, args.r),
+                             {"k": args.k, "r": args.r},
+                             lambda a: sorted(set(a)))
 
 
 def _cmd_solve_domset_formula(args) -> int:
     g = _load_graph(args.graph)
-    with open(args.formula, encoding="utf-8") as fh:
-        f = parse_formula(fh.read())
+    f = parse_formula(_read_text(args.formula))
     if not f.is_positive():
         raise InputError(
             "domination-type solving needs a positive formula (no negation)")
-    ib = ImplicitBipartite(g, f)
-    decision = semi_ladder_solve(ib, max_rounds=args.max_rounds)
-    payload = {
-        "command": "solve-domset-formula",
-        "decision": decision.kind,
-        "rounds": decision.transcript.rounds,
-        "oracle_calls": decision.transcript.oracle_calls,
-    }
+    return _solve_domination(args, g, f, {}, list)
+
+
+def _solve_domination(args, g, f, payload, solution_form) -> int:
+    """Run the semi-ladder solver for formula ``f`` on ``g`` and emit its
+    decision after ``payload``; a SOLUTION is checked against every
+    witness and printed through ``solution_form``."""
+    decision = semi_ladder_solve(ImplicitBipartite(g, f),
+                                 max_rounds=args.max_rounds)
+    payload.update(decision=decision.kind,
+                   rounds=decision.transcript.rounds,
+                   oracle_calls=decision.transcript.oracle_calls)
     if decision.kind == SOLUTION:
         if not _verify_formula_solution(g, f, decision.payload):
             raise InternalInvariantError("solution failed verification")
-        payload["solution"] = list(decision.payload)
+        payload["solution"] = solution_form(decision.payload)
         payload["verified"] = True
-        _emit(payload)
+        _emit(args, payload)
         return EXIT_OK
     payload["witnesses"] = [list(b) for b in decision.payload]
-    _emit(payload)
+    _emit(args, payload)
     return EXIT_NEGATIVE
 
 
@@ -124,47 +112,36 @@ def _cmd_solve_indep(args) -> int:
         g, args.k, args.r, strategy=args.strategy,
         depth_budget=args.depth_budget, work_budget=args.work_budget,
         node_budget=args.node_budget)
-    payload = {
-        "command": "solve-indep", "k": args.k, "r": args.r,
-        "decision": decision.kind,
-    }
+    payload = {"k": args.k, "r": args.r, "decision": decision.kind}
     if decision.kind == SOLUTION:
         if not _verify_independent(g, decision.payload, args.r):
             raise InternalInvariantError("solution failed verification")
         payload["solution"] = sorted(decision.payload)
         payload["verified"] = True
-        _emit(payload)
+        _emit(args, payload)
         return EXIT_OK
     payload["core"] = sorted(decision.payload)
-    _emit(payload)
+    _emit(args, payload)
     return EXIT_NEGATIVE
 
 
 def _cmd_coverage_core(args) -> int:
     g = _load_graph(args.graph)
-    with open(args.formula, encoding="utf-8") as fh:
-        f = parse_formula(fh.read())
-    ib = ImplicitBipartite(g, f)
-    core = coverage_core(ib)
-    _emit({
-        "command": "coverage-core",
-        "core": [list(b) for b in core],
-        "size": len(core),
-    })
+    f = parse_formula(_read_text(args.formula))
+    core = coverage_core(ImplicitBipartite(g, f))
+    _emit(args, {"core": [list(b) for b in core], "size": len(core)})
     return EXIT_OK
 
 
 def _cmd_measure_indices(args) -> int:
-    with open(args.bipartite, encoding="utf-8") as fh:
-        h = parse_bipartite(fh.read())
-    payload = {"command": "measure-indices",
-               "left": h.left_size, "right": h.right_size}
+    h = parse_bipartite(_read_text(args.bipartite))
+    payload = {"left": h.left_size, "right": h.right_size}
     for kind in OBSTRUCTION_KINDS:
         order, obstruction = index_of(h, kind)
         payload[kind] = order
         payload[f"{kind}_witness"] = {
             "a": list(obstruction.a_seq), "b": list(obstruction.b_seq)}
-    _emit(payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -172,10 +149,8 @@ def _cmd_measure_profiles(args) -> int:
     g = _load_graph(args.graph)
     result = measure_profile_complexity(
         g, args.r, args.m, trials=args.trials, seed=args.seed)
-    _emit({
-        "command": "measure-profiles", "r": args.r, "m": args.m,
-        "count": result.count, "exact": result.exact,
-    })
+    _emit(args, {"r": args.r, "m": args.m,
+                 "count": result.count, "exact": result.exact})
     return EXIT_OK
 
 
@@ -191,26 +166,22 @@ def _cmd_generate(args) -> int:
             fh.write(text)
     else:
         sys.stderr.write(text)
-    _emit({
-        "command": "generate", "family": args.family,
-        "n": g.n, "m": g.m, "out": args.out,
-    })
+    _emit(args, {"family": args.family, "n": g.n, "m": g.m,
+                 "out": args.out})
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}",
-                             line=exc.lineno) from exc
+    try:
+        config = json.loads(_read_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     records = run_bench(config)
     text = records_to_csv(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit({"command": "bench", "records": len(records), "out": args.out})
+        _emit(args, {"records": len(records), "out": args.out})
     else:
         sys.stdout.write(text)
     return EXIT_OK

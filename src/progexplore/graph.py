@@ -310,6 +310,21 @@ def _bad_edge_line(stripped, lineno) -> ParseError:
     return ParseError("edge endpoints must be integers", line=lineno)
 
 
+def _id_pairs(lines):
+    """``(line number, a, b, int(a), int(b))`` for each ``(line number,
+    "a b")`` of ``lines``; a line that does not spell two integers is a
+    :class:`ParseError` naming it."""
+    for lineno, stripped in lines:
+        try:
+            a, b = stripped.split()
+            if not (_plain(a) and _plain(b)):
+                raise ValueError(stripped)
+            u, v = int(a), int(b)
+        except ValueError:
+            raise _bad_edge_line(stripped, lineno) from None
+        yield lineno, a, b, u, v
+
+
 def _read_edges(n, m, header_line, lines, base) -> Graph:
     """The graph whose edges are ``lines``, ``(line number, "u v")`` pairs
     with ids counted from ``base``, after checking the header's count ``m``
@@ -319,14 +334,8 @@ def _read_edges(n, m, header_line, lines, base) -> Graph:
                          line=header_line)
     adj = [[] for _ in range(n)]
     seen = set()
-    for lineno, stripped in lines:
-        try:
-            a, b = stripped.split()
-            if not (_plain(a) and _plain(b)):
-                raise ValueError(stripped)
-            u, v = int(a) - base, int(b) - base
-        except ValueError:
-            raise _bad_edge_line(stripped, lineno) from None
+    for lineno, a, b, u, v in _id_pairs(lines):
+        u, v = u - base, v - base
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex id out of range in ({a},{b})",
                              line=lineno)

@@ -38,7 +38,6 @@ class RunTranscript:
     candidates: list = field(default_factory=list)
     witnesses: list = field(default_factory=list)
     oracle_calls: dict = field(default_factory=dict)
-    outcome: str | None = None
 
     def count(self, oracle_name: str):
         self.oracle_calls[oracle_name] = self.oracle_calls.get(oracle_name, 0) + 1
@@ -64,12 +63,10 @@ def semi_ladder_solve(ib: ImplicitBipartite, max_rounds: int = 10 ** 6) -> Decis
         t.count("candidate")
         a = candidate_oracle(ib, B)
         if a is None:
-            t.outcome = NO_SOLUTION
             return Decision(NO_SOLUTION, list(B), t)
         t.count("weak_witness")
         b = weak_witness_oracle(ib, a)
         if b is None:
-            t.outcome = SOLUTION
             t.candidates.append(a)
             return Decision(SOLUTION, a, t)
         t.candidates.append(a)
@@ -97,14 +94,12 @@ def ladder_solve(ib: ImplicitBipartite, p: int,
         t.count("candidate")
         a = candidate_oracle(ib, B)
         if a is None:
-            t.outcome = NOT_EXISTS
             return Decision(NOT_EXISTS, list(B), t)
         A.append(a)
         t.candidates.append(a)
         t.count("strong_witness")
         P = strong_witness_oracle(ib, A, p)
         if P is None:
-            t.outcome = EXISTS
             return Decision(EXISTS, None, t)
         t.witnesses.append(list(P))
         # a pick already in B defeats only candidates B already defeats

@@ -16,7 +16,7 @@ from progexplore import (TIMING_COLUMNS, And, Atom, DistanceFormula,
                          serialize_formula, serialize_graph)
 from progexplore import bench, cli
 from progexplore.bipartite import BipartiteGraph, materialize
-from progexplore.cli import _verify_dominating, _verify_formula_solution
+from progexplore.cli import _verify_formula_solution
 from progexplore.graph import Graph
 
 
@@ -69,17 +69,19 @@ def test_domset_positive_verified(p4, capsys):
 
 
 def test_verify_dominating_matches_per_vertex_check():
-    """One multi-source BFS gives the verdict of one BFS per member."""
+    """The formula verifier on delta(k, r) gives the verdict of one BFS per
+    member (k >= 1: the CLI rejects --k 0 before it solves)."""
     for g in (path_graph(7), generate("grid", {"rows": 3, "cols": 4}),
               generate("tree", {"n": 9}, seed=3),
               Graph.from_edges(6, [(0, 1), (2, 3)])):
         for r in range(3):
-            for k in range(3):
+            for k in range(1, 3):
+                f = build_delta(k, r)
                 for sol in combinations(range(g.n), k):
                     dists = [bfs_capped(g, v, r) for v in sol]
                     want = all(any(d[u] <= r for d in dists)
                                for u in range(g.n))
-                    assert _verify_dominating(g, sol, r) is want
+                    assert _verify_formula_solution(g, f, sol) is want
 
 
 def test_domset_missing_graph(tmp_path, capsys):
