@@ -59,14 +59,20 @@ def _verify_independent(g, solution, r) -> bool:
 
 
 def _verify_formula_solution(g, f, a) -> bool:
-    """Whether ``a`` agrees with every witness tuple.  A witness vertex
-    enters the matrix only through its column of distances to ``a``, so
-    each tuple of distinct columns, one distinct matrix, is judged once."""
+    """Whether ``a`` agrees with every witness tuple.  One BFS per distinct
+    vertex of ``a``; a witness vertex enters the matrix only through its
+    column of distances to those vertices, so each tuple of distinct
+    columns, one distinct matrix, is judged once."""
     r = f.radius()
-    dists = [bfs_capped(g, v, r) for v in a]
+    pos = {s: i for i, s in enumerate(dict.fromkeys(a))}
+    dists = [bfs_capped(g, s, r) for s in pos]
+    at = [pos[x] for x in a]
     columns = dict.fromkeys(tuple(d[v] for d in dists) for v in range(g.n))
-    return all(evaluate(f, DistanceMatrix(r, tuple(zip(*cols))))
-               for cols in product(columns, repeat=f.d))
+    for cols in product(columns, repeat=f.d):
+        rows = tuple(zip(*cols))  # one row per distinct vertex of a
+        if not evaluate(f, DistanceMatrix(r, tuple(rows[i] for i in at))):
+            return False
+    return True
 
 
 def _cmd_solve_domset(args) -> int:

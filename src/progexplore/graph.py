@@ -303,13 +303,6 @@ def _plain(text) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
-def _bad_edge_line(stripped, lineno) -> ParseError:
-    """The fault of an edge line that does not spell two integers."""
-    if len(stripped.split()) != 2:
-        return ParseError("edge line must hold two vertex ids", line=lineno)
-    return ParseError("edge endpoints must be integers", line=lineno)
-
-
 def _id_pairs(lines):
     """``(line number, a, b, int(a), int(b))`` for each ``(line number,
     "a b")`` of ``lines``; a line that does not spell two integers is a
@@ -321,7 +314,11 @@ def _id_pairs(lines):
                 raise ValueError(stripped)
             u, v = int(a), int(b)
         except ValueError:
-            raise _bad_edge_line(stripped, lineno) from None
+            if len(stripped.split()) != 2:
+                raise ParseError("edge line must hold two vertex ids",
+                                 line=lineno) from None
+            raise ParseError("edge endpoints must be integers",
+                             line=lineno) from None
         yield lineno, a, b, u, v
 
 

@@ -135,3 +135,23 @@ def test_domset_is_formula_on_delta(tmp_path, capsys):
                 assert plain["solution"] == sorted(set(formula["solution"]))
             decisions.add(plain["decision"])
     assert decisions == {"SOLUTION", "NO_SOLUTION"}
+
+
+def test_verifier_runs_one_bfs_per_distinct_vertex(files, capsys,
+                                                   monkeypatch):
+    """The `--k 1500` solution repeats vertex 0; it is checked with one
+    BFS from each of its two distinct vertices."""
+    from progexplore import cli
+    sources = []
+
+    def counting(g, v, cap, **kw):
+        sources.append(v)
+        return real(g, v, cap, **kw)
+
+    real = cli.bfs_capped
+    monkeypatch.setattr(cli, "bfs_capped", counting)
+    code, out, _ = run(capsys, ["solve-domset", "--graph",
+                                str(files / "p5.txt"), "--k", "1500",
+                                "--r", "1"])
+    assert code == 0 and json.loads(out)["solution"] == [0, 3]
+    assert sorted(sources) == [0, 3]
