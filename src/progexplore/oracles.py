@@ -31,10 +31,12 @@ class _CandidateState:
     partition on their vertices.  Per class it keeps either the coverage
     masks of the covering search, one bit per tuple, or the distance rows
     of the product search, one row per tuple.  It also keeps the verdict
-    memo.  Within one solve B only grows, so a call feeds in just the new
-    tuples: a split class passes its masks or rows to both halves, because
-    the new pivot vertex is in no earlier tuple.  A B that does not extend
-    the absorbed tuples starts the state over.
+    memo and the floor: the last answer, below which no later answer
+    lies, or None once no candidate agrees.  Within one solve B only
+    grows, so a call feeds in just the new tuples: a split class passes
+    its masks or rows to both halves, because the new pivot vertex is in
+    no earlier tuple.  A B that does not extend the absorbed tuples starts
+    the state over.
     """
 
     def __init__(self):
@@ -56,33 +58,50 @@ class _CandidateState:
             # class id -> coverage masks per position, or rows per tuple
             self.data = [[0] * f.c if self.by_var else []]
             self.verdicts = {}
+            # vertex 0 is the lowest representative; no vertex, no candidate
+            self.floor = (0,) * f.c if g.n else None
         for b in B[start:]:
             self._add(b)
 
     def _add(self, b):
         bit = 1 << len(self.taken)
         self.taken.append(b)
-        data = self.data
+        data, parts = self.data, self.parts
         for v in b:
-            for parent, child in self.parts.add(v):
+            for parent, child in parts.add(v):
                 data.append(list(data[parent]))
-        for k, rep in enumerate(self.parts.rep):
-            row = self.parts.row(rep, b)
-            if self.by_var is None:
-                data[k].append(row)
-                continue
-            # each child reads only its own candidate variable, so one
-            # distance row stands in for every row of the matrix
-            held = self.verdicts.get(row)
-            if held is None:
-                m = (row,) * len(self.by_var)
-                held = self.verdicts[row] = [
-                    any(holds(ch, m) for ch in children)
-                    for children in self.by_var]
+        # each class now lies wholly inside or outside each ball of b, so
+        # only the classes the balls meet have a row other than all-INF
+        near = {parts.class_of[v] for s in set(b) for v in parts.balls[s]}
+        far = (INF,) * len(b)
+        if self.by_var is None:
+            for k, rows in enumerate(data):
+                rows.append(parts.row(parts.rep[k], b) if k in near else far)
+            return
+        agrees_at = self._agrees_at
+        for k in near:
             masks = data[k]
-            for i, h in enumerate(held):
-                if h:
-                    masks[i] |= bit
+            for i in agrees_at(parts.row(parts.rep[k], b)):
+                masks[i] |= bit
+        hits = agrees_at(far)  # empty unless the Or has a negation
+        if hits:
+            for k, masks in enumerate(data):
+                if k not in near:
+                    for i in hits:
+                        masks[i] |= bit
+
+    def _agrees_at(self, row):
+        """The positions at which a candidate whose distance row to a
+        tuple is ``row`` agrees with it.  Each child reads only its own
+        candidate variable, so one row stands in for every row of the
+        matrix."""
+        hits = self.verdicts.get(row)
+        if hits is None:
+            m = (row,) * len(self.by_var)
+            hits = self.verdicts[row] = [
+                i for i, children in enumerate(self.by_var)
+                if any(holds(ch, m) for ch in children)]
+        return hits
 
 
 class ImplicitBipartite:
@@ -145,32 +164,56 @@ def _single_variable_children(f: DistanceFormula):
 def candidate_oracle(ib: ImplicitBipartite, B):
     """First (lex over profile-table indices) candidate tuple agreeing with
     every witness tuple in B, assembled from profile representatives; None
-    if no candidate agrees with all of B."""
+    if no candidate agrees with all of B.
+
+    The class order is the representative order, so the answer is also
+    the lex-first vertex tuple agreeing with B.  A B that extends the
+    previous call's only removes candidates, so the search resumes at
+    the previous answer, whose vertices are still representatives: a
+    split leaves the lowest member in the part that holds it."""
     state = ib._candidates
     state.absorb(ib, B)
-    order = state.parts.order()
+    if state.floor is None:
+        return None
+    parts = state.parts
+    order = parts.order()
+    at = {k: i for i, k in enumerate(order)}
+    start = tuple(at[parts.class_of.get(v, 0)] for v in state.floor)
     data = [state.data[k] for k in order]
     if state.by_var is not None:
         choice = _covering_assignment(
             [[masks[i] for masks in data] for i in range(ib.formula.c)],
-            (1 << len(state.taken)) - 1)
+            (1 << len(state.taken)) - 1, start)
     else:
         judge = ib._judge
         choice = next(
-            (idxs for idxs in product(range(len(data)), repeat=ib.formula.c)
+            (idxs for idxs in _tuples_from(len(data), start)
              if all(map(judge, zip(*(data[i] for i in idxs))))),
             None)
-    if choice is None:
-        return None
-    return tuple(state.parts.rep[order[i]] for i in choice)
+    state.floor = None if choice is None else tuple(
+        parts.rep[order[i]] for i in choice)
+    return state.floor
 
 
-def _covering_assignment(coverage, full):
-    """Lex-first profile assignment whose per-position witness coverage
-    masks (``coverage[i][e]``) union to ``full``; None if there is none.
-    A depth-first loop over (position, still-needed mask) states.  Before
-    it enters a state it checks it once: pruned if the mask lies outside
-    the union reachable from the position, skipped if it already failed."""
+def _tuples_from(n, start):
+    """The tuples over range(n) of the length of ``start`` that are lex at
+    or after ``start``, in lex order."""
+    yield start
+    for i in range(len(start) - 1, -1, -1):
+        for rest in product(range(start[i] + 1, n),
+                            *[range(n)] * (len(start) - 1 - i)):
+            yield start[:i] + rest
+
+
+def _covering_assignment(coverage, full, start=()):
+    """Lex-first profile assignment at or after ``start`` whose
+    per-position witness coverage masks (``coverage[i][e]``) union to
+    ``full``; None if there is none.  A depth-first loop over (position,
+    still-needed mask) states.  Before it enters a state it checks it
+    once: pruned if the mask lies outside the union reachable from the
+    position, skipped if it already failed.  Only a state scanned from
+    entry 0 is recorded as failed; the states on the path of ``start``
+    begin at its entries."""
     c = len(coverage)
     reach = [0] * (c + 1)  # reach[i]: union of every mask at positions >= i
     for i in range(c - 1, -1, -1):
@@ -179,10 +222,14 @@ def _covering_assignment(coverage, full):
             reach[i] |= m
     if full & ~reach[0]:
         return None
+    lead = len(start)  # past its trailing zeros, start asks for no skip
+    while lead and not start[lead - 1]:
+        lead -= 1
+    tight = 1 if lead else 0  # positions < tight began at start's entry
     failed = set()
     chosen: list = []
     needs = [full]  # needs[i]: what chosen[:i] leaves uncovered
-    nxt = [0]  # nxt[i]: the next entry to try at position i
+    nxt = [start[0] if lead else 0]  # nxt[i]: the next entry to try at i
     while nxt:
         i = len(chosen)
         if i == c:  # entered only with nothing left to cover
@@ -194,7 +241,10 @@ def _covering_assignment(coverage, full):
             if not rest & outside and (i + 1, rest) not in failed:
                 break
         else:
-            failed.add((i, needed))
+            if i < tight:
+                tight = i
+            else:
+                failed.add((i, needed))
             nxt.pop()
             needs.pop()
             if chosen:
@@ -203,7 +253,11 @@ def _covering_assignment(coverage, full):
         nxt[i] = e
         chosen.append(e - 1)
         needs.append(rest)
-        nxt.append(0)
+        if tight == i + 1 < lead and e - 1 == start[i]:
+            tight += 1
+            nxt.append(start[i + 1])
+        else:
+            nxt.append(0)
     return None
 
 

@@ -170,7 +170,7 @@ class ProfileRefiner:
     def row(self, v: int, pivots):
         """The capped distance from ``v`` to each of ``pivots`` (absorbed
         vertices), INF beyond the radius."""
-        return tuple(self.balls[s].get(v, INF) for s in pivots)
+        return tuple([self.balls[s].get(v, INF) for s in pivots])
 
     def order(self):
         """The nonempty class ids in increasing representative order."""
