@@ -5,6 +5,7 @@ BFS cap.  Graphs are immutable after construction and safe to share.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 from array import array
@@ -53,7 +54,7 @@ class Graph:
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 raise InputError(f"duplicate edge ({u},{v})")
             seen.add(key)
@@ -87,10 +88,13 @@ class Graph:
 
 
 def _from_adjacency(adj) -> Graph:
-    """Graph from already-validated adjacency lists, sorted here in place."""
-    for a in adj:
+    """Graph from already-validated adjacency lists, each sorted and put
+    back as a tuple in its slot, so every list is freed as its tuple is
+    made and the collector's count of live new objects stays flat."""
+    for i, a in enumerate(adj):
         a.sort()
-    return Graph(len(adj), tuple(map(tuple, adj)))
+        adj[i] = tuple(a)
+    return Graph(len(adj), tuple(adj))
 
 
 def ball_distances(g: Graph, sources, cap, allowed=None) -> dict:
@@ -215,12 +219,14 @@ def parse_dimacs(text: str) -> Graph:
 
 
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _bulk_edge_list(text):
     """The adjacency of a canonical edge list, as ``serialize_graph``
-    writes it ("n m", then m lines "u v": ASCII digits, single spaces,
-    "\\n" line ends, the final one optional), or None on any doubt.
+    writes it ("n m", then m lines "u v": ASCII digits without leading
+    zeros, single spaces, "\\n" line ends, the final one optional), or None
+    on any doubt.
 
     A bulk reader checks and converts the whole text at once, with no
     work per line in Python, and returns the adjacency lists unsorted.  On
@@ -241,15 +247,14 @@ def _bulk_edge_list(text):
     if (len(shape) not in (2 * m, 2 * m - 1)
             or shape != (" \n" * m)[:len(shape)]):
         return None
-    ids = body.split()
-    # a line with an empty id spells fewer words, so the count catches it
-    if len(ids) != 2 * m:
-        return None
+    # one JSON array of the ids: an empty id is a syntax error, and of the
+    # digit strings int takes, JSON refuses only those with a leading zero
+    spelled = body.removesuffix("\n").translate(_COMMAS)
     try:
-        ids = list(map(int, ids))
-    except ValueError:
+        ids = json.loads(f"[{spelled}]")
+    except ValueError:  # a leading zero, or more digits than int converts
         return None
-    if ids and not (0 <= min(ids) and max(ids) < n):
+    if len(ids) != 2 * m or (ids and max(ids) >= n):
         return None
     adj = [[] for _ in range(n)]
     it = iter(ids)

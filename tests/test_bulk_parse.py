@@ -2,13 +2,15 @@
 once and hands anything it doubts to the line walker.  Against the walker
 alone, on canonical files and on edited copies of them, it must give the
 same graph or the same ParseError, message and line alike."""
+import gc
 import random
 from itertools import combinations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from progexplore import Graph, ParseError, parse_graph
+from progexplore import Graph, ParseError, generate, parse_graph
 from progexplore.graph import (_bulk_edge_list, _from_adjacency,
                                _walk_edge_list, serialize_graph)
 
@@ -33,7 +35,7 @@ def edit(lines, rng, n):
     """``lines`` with one random edit of the kinds a hand-made file shows."""
     lines = list(lines)
     i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
-    kind = rng.randrange(10)
+    kind = rng.randrange(12)
     pos = rng.randrange(len(lines[i]) + 1)
     if kind == 0:  # a stray character inside a line
         lines[i] = lines[i][:pos] + rng.choice("+_٣\t") + lines[i][pos:]
@@ -55,12 +57,28 @@ def edit(lines, rng, n):
         words = lines[i].split() or [""]
         words[-1] = str(n)
         lines[i] = " ".join(words)
-    else:  # the edge count in the header off by one, or far too large
+    elif kind == 9:  # the header's edge count off by one, or far too large
         words = lines[0].split()
         if words and words[-1].isascii() and words[-1].isdigit():
             words[-1] = str(int(words[-1]) + rng.choice((-1, 1, 10 ** 20)))
             lines[0] = " ".join(words)
+    elif len(lines) > 1:  # on an edge line: an id with a leading zero,
+        # which int reads and JSON does not, or an id of 10^20
+        i = rng.randrange(1, len(lines))
+        words = lines[i].split() or [""]
+        k = rng.randrange(len(words))
+        words[k] = "0" + words[k] if kind == 10 else str(10 ** 20)
+        lines[i] = " ".join(words)
     return lines
+
+
+def few_vertices(text):
+    """Whether the header, the first non-blank line, names at most 10^6
+    vertices.  Both parsers make one list per vertex the header names, so
+    a 10^20 id that a later edit moves into it must not reach them."""
+    head = next((s.split() for s in text.splitlines() if s.strip()), [])
+    return not (head and head[0].isascii() and head[0].isdigit()
+                and int(head[0]) > 10 ** 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -73,6 +91,7 @@ def test_parse_graph_agrees_with_the_line_walker(g, seed, edits,
     for _ in range(edits):
         lines = edit(lines, rng, g.n)
     text = "\n".join(lines) + ("\n" if final_newline else "")
+    assume(few_vertices(text))
     want = outcome(_walk_edge_list, text)
     assert outcome(parse_graph, text) == want
     if not edits:
@@ -86,3 +105,33 @@ def test_canonical_files_take_the_bulk_path(g, final_newline):
     if not final_newline:
         text = text[:-1]
     assert _from_adjacency(_bulk_edge_list(text)) == g
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 01\n1 2\n",   # a leading zero: the walker reads the edge 0-1
+    "2 1\n0 00\n",         # a leading zero that spells a self-loop
+    "2 0\n5",              # an id after an empty edge list, no line end
+    "3 1\n0 100000000000000000000\n",  # an id far past n
+])
+def test_doubtful_ids_go_to_the_line_walker(text):
+    assert _bulk_edge_list(text) is None
+    assert outcome(parse_graph, text) == outcome(_walk_edge_list, text)
+
+
+def test_parsing_the_grid_runs_few_collector_passes():
+    """The adjacency lists become tuples one at a time, each list freed as
+    its tuple is made, so parsing allocates about n containers net and
+    the cyclic collector runs about n / threshold times, not twice that."""
+    text = serialize_graph(generate("grid", {"rows": 200, "cols": 200}))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        g = parse_graph(text)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(passes) <= 1.5 * g.n / gc.get_threshold()[0], passes
