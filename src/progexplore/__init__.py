@@ -10,9 +10,9 @@ from .bipartite import (COMATCHING, LADDER, OBSTRUCTION_KINDS, SEMILADDER,
                         index_of, materialize, parse_bipartite, ramsey_bound,
                         serialize_bipartite, tuple_index)
 from .cli import cli_main
-from .errors import (ContractViolationError, InputError,
-                     InternalInvariantError, ParseError, ProgExploreError,
-                     ResourceBudgetError, SplitterBudgetError)
+from .errors import (InputError, InternalInvariantError, ParseError,
+                     ProgExploreError, ResourceBudgetError,
+                     SplitterBudgetError)
 from .formulas import (And, Atom, DistanceFormula, DistanceMatrix, Not, Or,
                        build_delta, build_eta, evaluate, parse_formula,
                        serialize_formula)

@@ -3,8 +3,8 @@
 Machine-readable JSON (schema "pe/1") goes to stdout, diagnostics to stderr.
 Exit codes: 0 = solved/measured, 1 = a negative decision (still a success,
 distinguished in the payload), 2 = usage error, 3 = resource budget hit,
-4 = internal error (a broken invariant or plug-in contract, or any other
-unexpected exception; never bad input).
+4 = internal error (a failed verification, a broken invariant or any other
+unexpected exception; never bad input, not even too deeply nested JSON).
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from itertools import product
 
 from .bench import records_to_csv, run_bench
 from .bipartite import OBSTRUCTION_KINDS, index_of, parse_bipartite
-from .errors import (ContractViolationError, InputError,
-                     InternalInvariantError, ParseError, ResourceBudgetError)
+from .errors import (InputError, InternalInvariantError, ResourceBudgetError,
+                     read_json)
 from .formulas import (DistanceMatrix, build_delta, evaluate, parse_formula)
 from .graph import (GENERATOR_FAMILIES, bfs_capped, generate, parse_dimacs,
                     parse_graph, serialize_graph)
@@ -161,10 +161,7 @@ def _cmd_measure_profiles(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"--params is not valid JSON: {exc.msg}") from exc
+    params = read_json(args.params, "--params")
     g = generate(args.family, params, seed=args.seed)
     text = serialize_graph(g)
     if args.out:
@@ -178,10 +175,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = json.loads(_read_text(args.config))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    config = read_json(_read_text(args.config))
     records = run_bench(config)
     text = records_to_csv(records)
     if args.out:
@@ -276,7 +270,7 @@ def cli_main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InternalInvariantError, ContractViolationError) as exc:
+    except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # a crash is never a negative decision

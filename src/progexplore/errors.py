@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the JSON reader onto it."""
+import json
 
 
 class ProgExploreError(Exception):
@@ -31,9 +32,19 @@ class SplitterBudgetError(ResourceBudgetError):
     """The pre-core recursion ran out of splitter-game depth budget."""
 
 
-class ContractViolationError(ProgExploreError, RuntimeError):
-    """A pluggable component (e.g. a splitter strategy) broke its contract."""
-
-
 class InternalInvariantError(ProgExploreError, RuntimeError):
     """An invariant that should hold by construction was violated."""
+
+
+def read_json(text: str, what=None):
+    """``json.loads(text)``; bad or too deeply nested JSON raises ParseError
+    ("invalid JSON", with the line), or InputError naming ``what`` if given."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        msg, line = exc.msg, exc.lineno
+    except RecursionError:
+        msg, line = "nested too deeply", None
+    if what is None:
+        raise ParseError(f"invalid JSON: {msg}", line=line)
+    raise InputError(f"{what} is not valid JSON: {msg}")

@@ -10,7 +10,10 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_json
+
+# parse_formula's deepest tree, root at depth 1 (build_eta's trees are 5 deep)
+MAX_FORMULA_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,10 @@ def _require_int(value, pointer, minimum=None):
     return value
 
 
-def _node_from_json(obj, pointer):
+def _node_from_json(obj, pointer, depth=1):
+    if depth > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} "
+                         "levels", pointer=pointer)
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError("node must be a single-key object", pointer=pointer)
     (kind, payload), = obj.items()
@@ -197,20 +203,17 @@ def _node_from_json(obj, pointer):
             raise ParseError(f"'{kind}' needs a nonempty list",
                              pointer=f"{pointer}/{kind}")
         children = tuple(
-            _node_from_json(ch, f"{pointer}/{kind}/{i}")
+            _node_from_json(ch, f"{pointer}/{kind}/{i}", depth + 1)
             for i, ch in enumerate(payload)
         )
         return And(children) if kind == "and" else Or(children)
     if kind == "not":
-        return Not(_node_from_json(payload, f"{pointer}/not"))
+        return Not(_node_from_json(payload, f"{pointer}/not", depth + 1))
     raise ParseError(f"unknown node kind '{kind}'", pointer=pointer)
 
 
 def parse_formula(text: str) -> DistanceFormula:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    obj = read_json(text)
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object", pointer="")
     for key in ("c", "d", "node"):

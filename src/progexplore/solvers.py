@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import (ContractViolationError, InputError,
-                     InternalInvariantError, ResourceBudgetError,
-                     SplitterBudgetError)
+from .errors import (InputError, InternalInvariantError,
+                     ResourceBudgetError, SplitterBudgetError)
 from .graph import Graph, INF, ball, ball_distances, bfs_capped
 from .oracles import (ImplicitBipartite, candidate_oracle,
                       semiladder_extension_oracle, strong_witness_oracle,
@@ -162,32 +161,28 @@ def greedy_dichotomy(g: Graph, X, r: int, k: int, allowed=None) -> Dichotomy:
 
 
 # --- splitter strategies ----------------------------------------------------
+# Splitter's answer to Connector's v: a vertex of ``ball``, the round's
+# radius-r ball of v in the arena ``active`` (None: the whole graph).
 
 
-def connector_echo(g: Graph, active, v: int, r: int) -> int:
+def connector_echo(g: Graph, active, v: int, ball) -> int:
     return v
 
 
-def ball_max_degree(g: Graph, active, v: int, r: int) -> int:
-    bl = sorted(ball(g, v, r, allowed=active))
-
-    def deg(u):
-        if active is None:
-            return g.degree(u)
-        return sum(1 for w in g.neighbors(u) if w in active)
-
-    return max(bl, key=lambda u: (deg(u), -u))
+def ball_max_degree(g: Graph, active, v: int, ball) -> int:
+    """The ball vertex with the most neighbours in the arena."""
+    return max(ball, key=lambda u: (sum(
+        1 for w in g.neighbors(u) if active is None or w in active), -u))
 
 
-def bfs_center(g: Graph, active, v: int, r: int) -> int:
-    bl = sorted(ball(g, v, r, allowed=active))
-    big = g.n + 1
-
+def bfs_center(g: Graph, active, v: int, ball) -> int:
+    """The ball vertex whose farthest ball vertex, by arena distance, is
+    nearest; a ball vertex it cannot reach counts as n + 1 away."""
     def ecc(u):
         dist = bfs_capped(g, u, g.n, allowed=active)
-        return max((dist[w] if dist[w] != INF else big) for w in bl)
+        return max(min(dist[w], g.n + 1) for w in ball)
 
-    return min(bl, key=lambda u: (ecc(u), u))
+    return min(ball, key=lambda u: (ecc(u), u))
 
 
 STRATEGIES = {
@@ -198,30 +193,26 @@ STRATEGIES = {
 DEFAULT_STRATEGY = "ball_max_degree"
 
 
-def resolve_strategy(strategy):
-    if callable(strategy):
-        return strategy
-    if strategy in STRATEGIES:
-        return STRATEGIES[strategy]
-    raise InputError(f"unknown splitter strategy '{strategy}'")
+def resolve_strategy(name):
+    """The strategy named ``name``, a key of STRATEGIES."""
+    if name not in STRATEGIES:
+        raise InputError(f"unknown splitter strategy '{name}'")
+    return STRATEGIES[name]
 
 
 def splitter_game_round(g: Graph, v: int, r: int, strategy=DEFAULT_STRATEGY,
-                        active=None, excluded=()):
-    """One localization round: the ball around the chosen vertex, minus the
-    strategy's pick and any excluded vertices, becomes the next arena."""
+                        active=None):
+    """One localization round: the strategy named ``strategy`` picks
+    Splitter's answer ``w`` from the radius-r ball of ``v`` in the arena,
+    computed once here; the ball minus ``w`` is the next arena."""
     strat = resolve_strategy(strategy)
     if active is not None and v not in active:
         raise InputError(f"vertex {v} outside the arena")
     if not (0 <= v < g.n):
         raise InputError(f"invalid vertex {v}")
     bl = ball(g, v, r, allowed=active)
-    w = strat(g, active, v, r)
-    if w not in bl:
-        raise ContractViolationError(
-            f"strategy returned {w}, outside the radius-{r} ball of {v}")
-    next_active = frozenset(bl).difference((w,), excluded)
-    return w, next_active
+    w = strat(g, active, v, bl)
+    return w, frozenset(bl) - {w}
 
 
 # --- dependence pre-core ----------------------------------------------------
@@ -242,7 +233,7 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
     way the dominating set can sit relative to S.  The recursion may make
     at most ``node_budget`` calls, memo hits included.
     """
-    strat = resolve_strategy(strategy)
+    resolve_strategy(strategy)
     if k < 0 or r < 0:
         raise InputError("k and r must be >= 0")
     if depth_budget < 0:
@@ -304,7 +295,7 @@ def compute_precore(g: Graph, A, k: int, r: int, strategy=DEFAULT_STRATEGY,
             # class never produces a pair that needs capturing here
         result = set(S)
         for z in sorted(anchors):
-            w, rest = splitter_game_round(g, z, 3 * r, strat,
+            w, rest = splitter_game_round(g, z, 3 * r, strategy,
                                           active=arena_minus_s)
             ball2 = ball(g, z, 2 * r, allowed=arena_minus_s)
             new_S = S | {w}

@@ -1,6 +1,7 @@
 """Exit codes of the CLI and the per-cell error contract of the bench grid:
-malformed input exits 2, a broken internal invariant exits 4, and a bad grid
-cell is recorded as ERROR while the rest of the grid still runs."""
+malformed input exits 2, JSON or a formula nested too deeply included, a
+broken internal invariant exits 4, and a bad grid cell is recorded as ERROR
+while the rest of the grid still runs."""
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from progexplore import (SOLUTION, Decision, Graph, RunTranscript, cli_main,
                          run_bench, serialize_graph)
 from progexplore import cli
+from progexplore.formulas import MAX_FORMULA_DEPTH
 
 
 @pytest.fixture
@@ -28,6 +30,88 @@ def test_bench_invalid_json_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: invalid JSON")
     assert "(line 1)" in captured.err
     assert "Traceback" not in captured.err
+
+
+ATOM = '{"atom": {"q": 1, "x": 0, "y": 0}}'
+
+
+def chain(kind, levels):
+    """A formula file whose node tree is ``levels`` deep: ``levels - 1``
+    nested ``not`` nodes or one-child ``and`` nodes over one atom."""
+    opening, closing = {"not": ('{"not": ', "}"),
+                        "and": ('{"and": [', "]}")}[kind]
+    n = levels - 1
+    return ('{"c": 1, "d": 1, "node": ' + opening * n + ATOM + closing * n
+            + "}")
+
+
+def run_cli(capsys, argv):
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_usage_error(code, out, err, start):
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(start) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["coverage-core", "solve-domset-formula"])
+def test_formula_nested_past_the_decoder_is_usage_error(p4, tmp_path, capsys,
+                                                        command):
+    f = tmp_path / "deep.json"
+    f.write_text(chain("not", 5000))
+    assert_one_line_usage_error(
+        *run_cli(capsys, [command, "--graph", p4, "--formula", str(f)]),
+        "error: invalid JSON: nested too deeply")
+
+
+@pytest.mark.parametrize("kind", ["not", "and"])
+def test_formula_nested_past_the_depth_limit_is_usage_error(
+        p4, tmp_path, capsys, kind):
+    # decodes, but the tree is one level deeper than parse_formula accepts
+    f = tmp_path / "deep.json"
+    f.write_text(chain(kind, MAX_FORMULA_DEPTH + 1))
+    step = "/not" if kind == "not" else "/and/0"
+    code, out, err = run_cli(capsys, ["coverage-core", "--graph", p4,
+                                      "--formula", str(f)])
+    assert_one_line_usage_error(
+        code, out, err, f"error: formula nested deeper than "
+                        f"{MAX_FORMULA_DEPTH} levels")
+    assert f"(at /node{step * MAX_FORMULA_DEPTH})" in err
+
+
+@pytest.mark.parametrize("kind,command,code", [
+    ("not", "coverage-core", cli.EXIT_OK),
+    ("and", "coverage-core", cli.EXIT_OK),
+    ("and", "solve-domset-formula", cli.EXIT_NEGATIVE),
+])
+def test_formula_at_the_depth_limit_solves(p4, tmp_path, capsys, kind,
+                                           command, code):
+    f = tmp_path / "limit.json"
+    f.write_text(chain(kind, MAX_FORMULA_DEPTH))
+    got, out, err = run_cli(capsys, [command, "--graph", p4,
+                                     "--formula", str(f)])
+    assert (got, err) == (code, "")
+    assert json.loads(out)["command"] == command
+
+
+def test_bench_config_nested_past_the_decoder_is_usage_error(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text("[" * 3000 + "]" * 3000)
+    assert_one_line_usage_error(
+        *run_cli(capsys, ["bench", "--config", str(cfg)]),
+        "error: invalid JSON: nested too deeply")
+
+
+def test_generate_params_nested_past_the_decoder_is_usage_error(capsys):
+    assert_one_line_usage_error(
+        *run_cli(capsys, ["generate", "--family", "path", "--params",
+                          "[" * 3000 + "]" * 3000]),
+        "error: --params is not valid JSON: nested too deeply")
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,17 +1,22 @@
 """The pre-core's breakpoint refinement of placements against the full
-placement product, the lifetime of its memo, the work budget of the
-profile-multiset search, the exchange loop, and the bench config types."""
+placement product, the one ball of a splitter round, the lifetime of its
+memo, the work budget of the profile-multiset search, the exchange loop,
+and the bench config types."""
 import gc
 import json
 import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from progexplore import (INF, Graph, InputError, InternalInvariantError,
-                         ResourceBudgetError, SplitterBudgetError, bfs_capped,
+from progexplore import (INF, STRATEGIES, Graph, InputError,
+                         InternalInvariantError, ResourceBudgetError,
+                         SplitterBudgetError, bfs_capped,
                          brute_force_independent, cli_main, compute_precore,
-                         generate, independent_set_solve, serialize_graph)
+                         generate, independent_set_solve, serialize_graph,
+                         splitter_game_round)
 from progexplore import solvers
 from progexplore.graph import ball_distances
 
@@ -320,6 +325,115 @@ def test_indep_still_matches_bruteforce(seed):
     if want is not None:
         assert all(bfs_capped(g, u, r)[v] == INF
                    for u, v in combinations(d.payload, 2))
+
+
+# --- one ball per splitter round ---------------------------------------------
+# The round as it was when each strategy took the radius and ran its own BFS
+# to rebuild the ball the round had already computed.
+
+
+def own_bfs_connector_echo(g, active, v, r):
+    return v
+
+
+def own_bfs_ball_max_degree(g, active, v, r):
+    bl = sorted(solvers.ball(g, v, r, allowed=active))
+
+    def deg(u):
+        if active is None:
+            return g.degree(u)
+        return sum(1 for w in g.neighbors(u) if w in active)
+
+    return max(bl, key=lambda u: (deg(u), -u))
+
+
+def own_bfs_center(g, active, v, r):
+    bl = sorted(solvers.ball(g, v, r, allowed=active))
+    big = g.n + 1
+
+    def ecc(u):
+        dist = bfs_capped(g, u, g.n, allowed=active)
+        return max((dist[w] if dist[w] != INF else big) for w in bl)
+
+    return min(bl, key=lambda u: (ecc(u), u))
+
+
+OWN_BFS_STRATEGIES = {"connector_echo": own_bfs_connector_echo,
+                      "ball_max_degree": own_bfs_ball_max_degree,
+                      "bfs_center": own_bfs_center}
+
+
+def own_bfs_round(g, v, r, strategy="ball_max_degree", active=None):
+    bl = solvers.ball(g, v, r, allowed=active)
+    w = OWN_BFS_STRATEGIES[strategy](g, active, v, r)
+    assert w in bl
+    return w, frozenset(bl) - {w}
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_splitter_round_matches_strategies_with_their_own_bfs(seed, n, r):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                             if rng.random() < 0.35])
+    active = frozenset(u for u in range(n) if rng.random() < 0.7) or None
+    if rng.random() < 0.3:
+        active = None
+    v = rng.choice(sorted(active or range(n)))
+    assert set(OWN_BFS_STRATEGIES) == set(STRATEGIES)
+    for name in STRATEGIES:
+        assert (splitter_game_round(g, v, r, name, active=active)
+                == own_bfs_round(g, v, r, name, active=active)), name
+
+
+def count_calls(monkeypatch, name):
+    """Patch ``solvers.<name>`` to log each call; returns the log."""
+    calls = []
+    inner = getattr(solvers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+def test_splitter_round_makes_one_ball_call(monkeypatch):
+    g = generate("grid", {"rows": 3, "cols": 4})
+    balls = count_calls(monkeypatch, "ball")
+    for name in STRATEGIES:
+        for active in (None, frozenset(range(1, 10))):
+            balls.clear()
+            splitter_game_round(g, 5, 2, name, active=active)
+            assert len(balls) == 1, (name, active)
+
+
+INDEP_PRECORE_CASES = [  # the indep-precore benchmark's graphs, seed 1
+    (generate("path", {"n": 12}), 3, 4),
+    (generate("path", {"n": 12}), 3, 5),
+    (generate("grid", {"rows": 3, "cols": 4}), 3, 2),
+    (generate("cycle", {"n": 12}), 3, 3),
+    (generate("tree", {"n": 15}, seed=1), 3, 3),
+]
+
+
+@pytest.mark.parametrize("case", range(len(INDEP_PRECORE_CASES)))
+def test_precore_saves_one_ball_call_per_round(monkeypatch, case):
+    g, k, r = INDEP_PRECORE_CASES[case]
+    runs = []
+    for round_ in (solvers.splitter_game_round, own_bfs_round):
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "splitter_game_round", round_)
+            balls = count_calls(m, "ball")
+            rounds = count_calls(m, "splitter_game_round")
+            # independent_set_solve asks for the pre-core of (G, V, k - 1)
+            Q = compute_precore(g, range(g.n), k - 1, r)
+        runs.append((Q, len(balls), len(rounds)))
+    (q_new, balls_new, rounds_new), (q_old, balls_old, rounds_old) = runs
+    assert q_new == q_old
+    assert rounds_new == rounds_old > 0
+    assert balls_old - balls_new == rounds_new
 
 
 # --- bench config types ------------------------------------------------------

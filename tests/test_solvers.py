@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progexplore import (ContractViolationError, Decision, Dichotomy, Graph,
-                         INF, ImplicitBipartite, InputError, NO_SOLUTION,
-                         NOT_EXISTS, EXISTS, ResourceBudgetError, SEMILADDER,
-                         SOLUTION, bfs_capped, brute_force_dominating,
+from progexplore import (Decision, Dichotomy, Graph, INF, ImplicitBipartite,
+                         InputError, NO_SOLUTION, NOT_EXISTS, EXISTS,
+                         ResourceBudgetError, SEMILADDER, SOLUTION,
+                         STRATEGIES, bfs_capped, brute_force_dominating,
                          brute_force_independent, build_delta, build_eta,
                          check_p_helly, compute_precore, coverage_bruteforce,
                          coverage_core, generate, greedy_dichotomy, index_of,
@@ -277,22 +277,23 @@ def test_splitter_round_star_leaf():
     assert w == 0 and arena == frozenset({1})
 
 
-def test_splitter_round_respects_excluded():
-    _, arena = splitter_game_round(path(3), 1, 1, strategy="connector_echo",
-                                   excluded={0})
-    assert arena == frozenset({2})
-
-
 def test_splitter_round_vertex_outside_arena():
     with pytest.raises(InputError):
         splitter_game_round(path(3), 0, 1, active=frozenset({1, 2}))
 
 
 def test_splitter_bad_strategy_rejected():
-    with pytest.raises(InputError):
-        resolve_strategy("random_walk")
-    with pytest.raises(ContractViolationError):
-        splitter_game_round(path(4), 0, 1, strategy=lambda g, a, v, r: 3)
+    # a strategy is one of the built-in names, never a function
+    def echo(g, active, v, ball):
+        return v
+
+    for strategy in ("random_walk", echo, STRATEGIES["connector_echo"]):
+        with pytest.raises(InputError, match="unknown splitter strategy"):
+            resolve_strategy(strategy)
+        with pytest.raises(InputError):
+            splitter_game_round(path(4), 0, 1, strategy=strategy)
+        with pytest.raises(InputError):
+            compute_precore(path(4), range(4), 1, 1, strategy=strategy)
 
 
 @given(st.integers(0, 10 ** 6))
